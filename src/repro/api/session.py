@@ -69,8 +69,9 @@ from __future__ import annotations
 
 import copy
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -80,11 +81,11 @@ from repro.obs import trace as obs_trace
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
 from repro.core.controller import OverheadModelProtocol, run_cycle
 from repro.core.deadlines import DeadlineFunction
-from repro.core.engine import coerce_vectorize_mode, run_cycles_batch
+from repro.core.engine import coerce_vectorize_mode
 from repro.core.manager import QualityManager
 from repro.core.policy import AveragePolicy, MixedPolicy, QualityManagementPolicy, SafePolicy
 from repro.core.relaxation import DEFAULT_RELAXATION_STEPS
-from repro.core.streaming import StreamingMetrics, run_cycles_streamed
+from repro.core.streaming import StreamingMetrics, execute_cycles
 from repro.core.system import CycleOutcome, ParameterizedSystem
 from repro.core.timing import ActualTimeScenario, ScenarioBatch, supports_replay
 
@@ -186,6 +187,25 @@ _OVERHEADS = ("none", "ipod", "fast-embedded", "desktop")
 
 _TRANSPORTS = ("value", "redraw")
 
+#: the in-process pool configuration ``parallel=True`` implies without a
+#: :meth:`Session.parallel` builder step
+_POOL_DEFAULTS: dict[str, Any] = {
+    "workers": None,
+    "chunk_size": None,
+    "mp_context": None,
+    "scenario_transport": None,
+}
+
+
+def _unit_label(unit: Any, manager_name: str) -> str:
+    """The ``run_many`` label rule: the plan's (already unique) unit label."""
+    return unit.label
+
+
+def _manager_label(unit: Any, manager_name: str) -> str:
+    """The ``compare`` label rule: the executed manager's reporting name."""
+    return manager_name
+
 
 @dataclass(frozen=True)
 class ScenarioSpec:
@@ -211,6 +231,100 @@ class ScenarioSpec:
         if self.seed is not None:
             parts.append(f"seed={self.seed}")
         return " ".join(parts) if parts else f"scenario-{index}"
+
+
+def _check_transport(value: str | None) -> None:
+    """Reject anything but ``None`` or a known scenario transport name."""
+    if value is not None and value not in _TRANSPORTS:
+        raise SessionError(
+            f"unknown scenario transport {value!r}; "
+            f"expected one of {sorted(_TRANSPORTS)}"
+        )
+
+
+def _spool_route(
+    kind: str,
+    spool: str | os.PathLike | None,
+    *,
+    lease_timeout: float | None,
+    poll_interval: float | None,
+    max_requeues: int | None,
+    timeout: float | None,
+    local_workers: int,
+    scenario_transport: str | None,
+    **queue_fields: Any,
+) -> dict[str, Any]:
+    """Validate the spool options :meth:`Session.remote` and
+    :meth:`Session.service` share, resolving every default once.
+
+    Returns the route entry ``_pool_config`` hands out: ``{kind: executor
+    keyword arguments, "scenario_transport": ...}``.  ``queue_fields`` are
+    the service's extra :class:`~repro.service.queue.QueuedSweepExecutor`
+    arguments.  Spool units default to the re-draw transport: ~200 bytes
+    per unit instead of a scenario tensor crossing the spool.
+    """
+    from repro.runtime.remote import (
+        DEFAULT_LEASE_TIMEOUT,
+        DEFAULT_MAX_REQUEUES,
+        DEFAULT_POLL_INTERVAL,
+    )
+
+    if spool is None:
+        raise SessionError(f"{kind}(...) needs a spool directory")
+    if lease_timeout is not None and lease_timeout <= 0.0:
+        raise SessionError(f"lease_timeout must be > 0, got {lease_timeout}")
+    if poll_interval is not None and poll_interval <= 0.0:
+        raise SessionError(f"poll_interval must be > 0, got {poll_interval}")
+    if max_requeues is not None and max_requeues < 0:
+        raise SessionError(f"max_requeues must be >= 0, got {max_requeues}")
+    if timeout is not None and timeout <= 0.0:
+        raise SessionError(f"timeout must be > 0, got {timeout}")
+    if local_workers < 0:
+        raise SessionError(f"local_workers must be >= 0, got {local_workers}")
+    _check_transport(scenario_transport)
+    options = {
+        "spool": os.fspath(spool),
+        "lease_timeout": DEFAULT_LEASE_TIMEOUT if lease_timeout is None else lease_timeout,
+        "poll_interval": DEFAULT_POLL_INTERVAL if poll_interval is None else poll_interval,
+        "max_requeues": DEFAULT_MAX_REQUEUES if max_requeues is None else max_requeues,
+        "timeout": timeout,
+        "local_workers": int(local_workers),
+        **queue_fields,
+    }
+    return {kind: options, "scenario_transport": scenario_transport or "redraw"}
+
+
+def _seek_forward(plan: Any, draws: int) -> None:
+    """Advance the parent's scenario sampler past ``draws`` swept draws,
+    leaving the shared stream exactly where a serial run would."""
+    sampler = plan.payload.system.timing.scenario_sampler
+    if draws and supports_replay(sampler):
+        sampler.seek(sampler.cursor + draws)
+
+
+@contextmanager
+def _advancing(advance: Callable[[], None]) -> Iterator[None]:
+    """Run a sweep, calling ``advance()`` iff it consumed its scenario window.
+
+    The one advance-on-failure policy for every parallel run shape.  A
+    completed sweep advances; so do unit failures (the sweep ran, so a
+    caller that catches and continues stays on the serial scenario stream)
+    and an early ``break``/``close()`` of a result stream (the plan was
+    submitted).  A transport failure (submit error, timeout: an executor
+    error with no per-unit ``failures`` attached) or an interrupt consumed
+    no window, and a serial retry must still see it.
+    """
+    consumed = True
+    try:
+        yield
+    except GeneratorExit:
+        raise
+    except BaseException as error:
+        consumed = bool(getattr(error, "failures", ()))
+        raise
+    finally:
+        if consumed:
+            advance()
 
 
 class Session:
@@ -558,7 +672,7 @@ class Session:
             return self
         if workers is not None and int(workers) < 1:
             raise SessionError(f"workers must be >= 1, got {workers}")
-        self._check_transport(scenario_transport)
+        _check_transport(scenario_transport)
         self._parallel = {
             "workers": int(workers) if workers is not None else None,
             "chunk_size": chunk_size,
@@ -607,28 +721,16 @@ class Session:
         if not enabled:
             self._remote = None
             return self
-        if spool is None:
-            raise SessionError("remote(...) needs a spool directory")
-        if lease_timeout is not None and lease_timeout <= 0.0:
-            raise SessionError(f"lease_timeout must be > 0, got {lease_timeout}")
-        if poll_interval is not None and poll_interval <= 0.0:
-            raise SessionError(f"poll_interval must be > 0, got {poll_interval}")
-        if max_requeues is not None and max_requeues < 0:
-            raise SessionError(f"max_requeues must be >= 0, got {max_requeues}")
-        if timeout is not None and timeout <= 0.0:
-            raise SessionError(f"timeout must be > 0, got {timeout}")
-        if local_workers < 0:
-            raise SessionError(f"local_workers must be >= 0, got {local_workers}")
-        self._check_transport(scenario_transport)
-        self._remote = {
-            "spool": os.fspath(spool),
-            "lease_timeout": lease_timeout,
-            "poll_interval": poll_interval,
-            "max_requeues": max_requeues,
-            "timeout": timeout,
-            "local_workers": int(local_workers),
-            "scenario_transport": scenario_transport,
-        }
+        self._remote = _spool_route(
+            "remote",
+            spool,
+            lease_timeout=lease_timeout,
+            poll_interval=poll_interval,
+            max_requeues=max_requeues,
+            timeout=timeout,
+            local_workers=local_workers,
+            scenario_transport=scenario_transport,
+        )
         return self
 
     def service(
@@ -673,21 +775,8 @@ class Session:
         if not enabled:
             self._service = None
             return self
-        if spool is None:
-            raise SessionError("service(...) needs a spool directory")
-        if lease_timeout is not None and lease_timeout <= 0.0:
-            raise SessionError(f"lease_timeout must be > 0, got {lease_timeout}")
-        if poll_interval is not None and poll_interval <= 0.0:
-            raise SessionError(f"poll_interval must be > 0, got {poll_interval}")
-        if max_requeues is not None and max_requeues < 0:
-            raise SessionError(f"max_requeues must be >= 0, got {max_requeues}")
-        if timeout is not None and timeout <= 0.0:
-            raise SessionError(f"timeout must be > 0, got {timeout}")
-        if local_workers < 0:
-            raise SessionError(f"local_workers must be >= 0, got {local_workers}")
         if quota is not None and int(quota) < 1:
             raise SessionError(f"quota must be >= 1, got {quota}")
-        self._check_transport(scenario_transport)
         from repro.service.queue import _check_token
 
         try:
@@ -695,20 +784,21 @@ class Session:
             _check_token(tenant, "tenant")
         except ValueError as error:
             raise SessionError(str(error)) from None
-        self._service = {
-            "spool": os.fspath(spool),
-            "queue": queue,
-            "tenant": tenant,
-            "priority": int(priority),
-            "quota": int(quota) if quota is not None else None,
-            "lease_timeout": lease_timeout,
-            "poll_interval": poll_interval,
-            "max_requeues": max_requeues,
-            "timeout": timeout,
-            "local_workers": int(local_workers),
-            "scenario_transport": scenario_transport,
-            "pump": bool(pump),
-        }
+        self._service = _spool_route(
+            "service",
+            spool,
+            lease_timeout=lease_timeout,
+            poll_interval=poll_interval,
+            max_requeues=max_requeues,
+            timeout=timeout,
+            local_workers=local_workers,
+            scenario_transport=scenario_transport,
+            queue=queue,
+            tenant=tenant,
+            priority=int(priority),
+            quota=int(quota) if quota is not None else None,
+            pump=bool(pump),
+        )
         return self
 
     # ------------------------------------------------------------------ #
@@ -890,6 +980,41 @@ class Session:
         self._check_run_args(n_cycles, scenarios)
         return self._stream(self.build(), n_cycles, used_seed, scenarios)
 
+    def _run_options(
+        self, vectorize: Any, backend: Any, chunk_size: Any
+    ) -> tuple[str, str | None, int | None]:
+        """The per-call ``(vectorize, backend, chunk_size)`` triple, each
+        resolved against the builder settings."""
+        return (
+            self._effective_vectorize(vectorize),
+            self._effective_backend(backend),
+            self._effective_chunk_size(chunk_size),
+        )
+
+    def _execute(
+        self,
+        manager: QualityManager,
+        n_cycles: int,
+        seed: int | None,
+        scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None,
+        options: tuple[str, str | None, int | None],
+    ) -> tuple[CycleOutcome, ...] | StreamingMetrics:
+        """One solo execution on this session's system: outcomes, or a
+        streamed summary when ``options`` carry a chunk size."""
+        vectorize, backend, chunk = options
+        return execute_cycles(
+            self._execution_system(),
+            manager,
+            n_cycles,
+            chunk_size=chunk,
+            deadlines=self.resolved_deadlines(),
+            scenarios=scenarios,
+            rng=np.random.default_rng(seed),
+            overhead_model=self._resolve_overhead_model(),
+            vectorize=vectorize,
+            backend=backend,
+        )
+
     def run(
         self,
         cycles: int | None = None,
@@ -913,46 +1038,20 @@ class Session:
         n_cycles = self._default_cycles if cycles is None else int(cycles)
         used_seed = self._seed if seed is None else int(seed)
         self._check_run_args(n_cycles, scenarios)  # before any compilation
-        chunk = self._effective_chunk_size(chunk_size)
-        summary: StreamingMetrics | None = None
+        options = self._run_options(vectorize, backend, chunk_size)
         with obs_trace.span("session.run", manager=self._spec.key, cycles=n_cycles):
             with obs_trace.span("session.compile"):
                 manager = self.build()
             with obs_trace.span("session.execute"):
-                if chunk is not None:
-                    outcomes: tuple[CycleOutcome, ...] = ()
-                    summary = run_cycles_streamed(
-                        self._execution_system(),
-                        manager,
-                        n_cycles,
-                        deadlines=self.resolved_deadlines(),
-                        chunk_size=chunk,
-                        scenarios=scenarios,
-                        rng=np.random.default_rng(used_seed),
-                        overhead_model=self._resolve_overhead_model(),
-                        vectorize=self._effective_vectorize(vectorize),
-                        backend=self._effective_backend(backend),
-                    )
-                else:
-                    outcomes = run_cycles_batch(
-                        self._execution_system(),
-                        manager,
-                        n_cycles,
-                        scenarios=scenarios,
-                        rng=np.random.default_rng(used_seed),
-                        overhead_model=self._resolve_overhead_model(),
-                        vectorize=self._effective_vectorize(vectorize),
-                        backend=self._effective_backend(backend),
-                    )
+                tail = self._execute(manager, n_cycles, used_seed, scenarios, options)
         obs_export.flush()
         return RunResult(
             manager_key=self._spec.key,
             manager_name=manager.name,
-            outcomes=outcomes,
             deadlines=self.resolved_deadlines(),
             seed=used_seed,
             machine_name=self._machine.name if self._machine is not None else None,
-            summary=summary,
+            **_result_fields(tail),
         )
 
     def compare(
@@ -1000,114 +1099,59 @@ class Session:
         every manager's run in constant memory; the compared results are
         summary-only, with metrics bit-identical to the materialised path.
         """
-        from repro.runtime.plan import unique_label
+        from repro.runtime.plan import plan_compare, plan_compare_redraw
 
+        n_cycles = self._default_cycles if cycles is None else int(cycles)
+        self._check_run_args(n_cycles, None)
         # validated even for serial runs: a typo'd transport should fail
         # here, not months later when workers= is added to the call
-        self._check_transport(scenario_transport)
+        _check_transport(scenario_transport)
         chosen = [validate_spec(ManagerSpec.coerce(spec)) for spec in specs] or [
             ManagerSpec("numeric"),
             ManagerSpec("region"),
             ManagerSpec("relaxation"),
         ]
-        n_cycles = self._default_cycles if cycles is None else int(cycles)
         used_seed = self._seed if seed is None else int(seed)
-        system = self._execution_system()
-        deadlines = self.resolved_deadlines()
-        machine_name = self._machine.name if self._machine is not None else None
+        options = self._run_options(vectorize, backend, chunk_size)
+        config = self._pool_config(parallel, workers)
+        self._check_stream(stream, config)
 
-        mode = self._effective_vectorize(vectorize)
-        chosen_backend = self._effective_backend(backend)
-        chunk = self._effective_chunk_size(chunk_size)
-        pool_config = self._pool_config(parallel, workers)
-        self._check_stream(stream, pool_config)
-        use_pool = pool_config is not None and n_cycles > 0
-        if use_pool:
-            # spool-transported units (remote or service) default to the
-            # re-draw transport: ~200 bytes per unit instead of a scenario
-            # tensor crossing the spool
-            default = (
-                "redraw"
-                if pool_config.get("remote") or pool_config.get("service")
-                else "value"
-            )
-            transport = self._effective_transport(
-                scenario_transport, pool_config, default=default
-            )
-            if transport == "redraw" and self._redraw_supported():
-                return self._compare_parallel_redraw(
-                    chosen,
-                    n_cycles,
-                    used_seed,
-                    pool_config,
-                    progress,
-                    mode,
-                    stream,
-                    backend=chosen_backend,
-                    chunk_size=chunk,
+        def draw() -> ScenarioBatch:
+            with obs_trace.span("session.draw", cycles=n_cycles):
+                return self._execution_system().draw_scenarios(
+                    n_cycles, np.random.default_rng(used_seed)
                 )
-        with obs_trace.span("session.draw", cycles=n_cycles):
-            scenarios = system.draw_scenarios(
-                n_cycles, np.random.default_rng(used_seed)
-            )
-        if use_pool:
-            return self._compare_parallel(
-                chosen,
-                scenarios,
-                used_seed,
-                pool_config,
-                progress,
-                mode,
-                stream,
-                backend=chosen_backend,
-                chunk_size=chunk,
-            )
 
-        context = self.build_context()
-        overhead_model = self._resolve_overhead_model()
-        runs: dict[str, RunResult] = {}
-        for index, spec in enumerate(chosen):
-            manager = build_manager(spec, context)
-            with obs_trace.span("session.execute", manager=str(spec)):
-                if chunk is not None:
-                    tail: Any = run_cycles_streamed(
-                        system,
-                        manager,
-                        scenarios=scenarios,
-                        deadlines=deadlines,
-                        chunk_size=chunk,
-                        overhead_model=overhead_model,
-                        vectorize=mode,
-                        backend=chosen_backend,
-                    )
-                else:
-                    tail = run_cycles_batch(
-                        system,
-                        manager,
-                        scenarios=scenarios,
-                        overhead_model=overhead_model,
-                        vectorize=mode,
-                        backend=chosen_backend,
-                    )
-            label = unique_label(runs, manager.name, index)
-            runs[label] = RunResult(
-                manager_key=spec.key,
-                manager_name=manager.name,
-                deadlines=deadlines,
-                seed=used_seed,
-                machine_name=machine_name,
-                **_result_fields(tail),
+        if config is None:
+            return self._run_serial(
+                [(str(spec), spec, n_cycles, used_seed) for spec in chosen],
+                _manager_label,
+                options,
+                progress,
+                draw(),
             )
-            if progress is not None:
-                # the spec string, exactly what the parallel path reports
-                # (final labels need the executed managers' names)
-                progress(index + 1, len(chosen), str(spec))
-        obs_export.flush()
-        if stream:
-            # edge inputs (cycles <= 0) skip the spool but must keep the
-            # documented (label, RunResult) iterator shape
-            return iter(runs.items())
-        return BatchResult(runs=runs)
+        redraw = (scenario_transport or config["scenario_transport"]) == "redraw" and (
+            self._redraw_supported()
+        )
+        return self._sweep(
+            "session.compare",
+            {"managers": len(chosen), "transport": "redraw" if redraw else "value"},
+            lambda payload: (
+                plan_compare_redraw(payload, chosen, n_cycles, used_seed)
+                if redraw
+                else plan_compare(payload, chosen, draw())
+            ),
+            config=config,
+            specs=chosen,
+            label_of=_manager_label,
+            seed=used_seed,
+            # re-drawing workers consume the window a serial run would draw
+            # here; a value draw here has already advanced the parent sampler
+            advance=lambda plan: _seek_forward(plan, n_cycles if redraw else 0),
+            options=options,
+            progress=progress,
+            stream=stream,
+        )
 
     def run_many(
         self,
@@ -1161,75 +1205,31 @@ class Session:
         results are summary-only, with metrics bit-identical to the
         materialised path.
         """
-        from repro.runtime.plan import unique_label
-
-        self._check_transport(scenario_transport)
+        _check_transport(scenario_transport)
         entries = self._coerce_run_many_entries(scenarios)
-        mode = self._effective_vectorize(vectorize)
-        chosen_backend = self._effective_backend(backend)
-        chunk = self._effective_chunk_size(chunk_size)
-        pool_config = self._pool_config(parallel, workers)
-        self._check_stream(stream, pool_config)
-        if pool_config is not None and entries:
-            return self._run_many_parallel(
-                entries,
-                pool_config,
-                progress,
-                mode,
-                scenario_transport,
-                stream,
-                backend=chosen_backend,
-                chunk_size=chunk,
+        options = self._run_options(vectorize, backend, chunk_size)
+        config = self._pool_config(parallel, workers)
+        self._check_stream(stream, config)
+        if config is not None and entries:
+            return self._sweep(
+                "session.run_many",
+                {"units": len(entries)},
+                self._run_many_planner(
+                    entries, scenario_transport or config["scenario_transport"]
+                ),
+                config=config,
+                specs=[spec for _, spec, _, _ in entries],
+                label_of=_unit_label,
+                seed=None,
+                advance=lambda plan: _seek_forward(plan, plan.total_draws),
+                options=options,
+                progress=progress,
+                stream=stream,
             )
-
-        context = self.build_context()
-        system = self._execution_system()
-        deadlines = self.resolved_deadlines()
-        overhead_model = self._resolve_overhead_model()
-        machine_name = self._machine.name if self._machine is not None else None
-        runs: dict[str, RunResult] = {}
-        for index, (label, manager_spec, n_cycles, used_seed) in enumerate(entries):
-            manager = build_manager(manager_spec, context)
-            with obs_trace.span("session.execute", label=label, manager=manager_spec.key):
-                if chunk is not None:
-                    tail: Any = run_cycles_streamed(
-                        system,
-                        manager,
-                        n_cycles,
-                        deadlines=deadlines,
-                        chunk_size=chunk,
-                        rng=np.random.default_rng(used_seed),
-                        overhead_model=overhead_model,
-                        vectorize=mode,
-                        backend=chosen_backend,
-                    )
-                else:
-                    tail = run_cycles_batch(
-                        system,
-                        manager,
-                        n_cycles,
-                        rng=np.random.default_rng(used_seed),
-                        overhead_model=overhead_model,
-                        vectorize=mode,
-                        backend=chosen_backend,
-                    )
-            final_label = unique_label(runs, label, index)
-            runs[final_label] = RunResult(
-                manager_key=manager_spec.key,
-                manager_name=manager.name,
-                deadlines=deadlines,
-                seed=used_seed,
-                machine_name=machine_name,
-                **_result_fields(tail),
-            )
-            if progress is not None:
-                progress(index + 1, len(entries), final_label)
-        obs_export.flush()
-        if stream:
-            # an empty spec list skips the spool but must keep the
-            # documented (label, RunResult) iterator shape
-            return iter(runs.items())
-        return BatchResult(runs=runs)
+        batch = self._run_serial(entries, _unit_label, options, progress)
+        # an empty spec list skips the spool but must keep the documented
+        # (label, RunResult) iterator shape
+        return iter(batch.runs.items()) if stream else batch
 
     def _coerce_run_many_entries(
         self, scenarios: Iterable[ScenarioSpec | dict | str | int | ManagerSpec]
@@ -1240,6 +1240,8 @@ class Session:
         field resolved against the session's configuration — the exact
         entry shape :func:`~repro.runtime.plan.plan_run_many` consumes.
         """
+        from repro.runtime.plan import unique_label
+
         coerced: list[ScenarioSpec] = []
         for entry in scenarios:
             if isinstance(entry, ScenarioSpec):
@@ -1264,8 +1266,10 @@ class Session:
             if spec.cycles is not None and int(spec.cycles) < 1:
                 raise SessionError(f"scenario cycles must be >= 1, got {spec.cycles}")
 
-        # resolve every unit up front: (label, manager spec, cycles, seed)
+        # resolve every unit up front: (unique label, manager spec, cycles,
+        # seed) — labels de-duplicated exactly as the sweep plan does
         entries: list[tuple[str, ManagerSpec, int, int]] = []
+        taken: set[str] = set()
         for index, spec in enumerate(coerced):
             manager_spec = (
                 validate_spec(ManagerSpec.coerce(spec.manager))
@@ -1274,7 +1278,9 @@ class Session:
             )
             n_cycles = self._default_cycles if spec.cycles is None else int(spec.cycles)
             used_seed = self._seed if spec.seed is None else int(spec.seed)
-            entries.append((spec.resolved_label(index), manager_spec, n_cycles, used_seed))
+            label = unique_label(taken, spec.resolved_label(index), index)
+            taken.add(label)
+            entries.append((label, manager_spec, n_cycles, used_seed))
         return entries
 
     @staticmethod
@@ -1329,28 +1335,16 @@ class Session:
         plan for streamed execution: workers fold chunks into accumulators
         and the spooled results are summary-only.
         """
-        from repro.runtime.plan import plan_run_many
-
-        self._check_transport(scenario_transport)
+        _check_transport(scenario_transport)
         entries = self._coerce_run_many_entries(scenarios)
-        cache = self._parallel_artifact_cache()
-        self._prepare_parallel_cache(cache, [spec for _, spec, _, _ in entries])
-        payload = self._execution_payload(
-            cache, chunk_size=self._effective_chunk_size(chunk_size)
+        return self._plan(
+            [spec for _, spec, _, _ in entries],
+            self._run_many_planner(entries, scenario_transport),
+            self._run_options(None, None, chunk_size),
         )
-        sampler = payload.system.timing.scenario_sampler
-        track = supports_replay(sampler)
-        batches = None
-        if scenario_transport == "value":
-            exec_system = self._execution_system()
-            batches = [
-                exec_system.draw_scenarios(n_cycles, np.random.default_rng(seed))
-                for _, _, n_cycles, seed in entries
-            ]
-        return plan_run_many(payload, entries, track_sampler=track, scenarios=batches)
 
     # ------------------------------------------------------------------ #
-    # the parallel sweep engine (repro.runtime)
+    # the sweep route (repro.runtime): plan → execute → fan-in
     # ------------------------------------------------------------------ #
     def _pool_config(
         self, parallel: bool | None, workers: int | None
@@ -1366,58 +1360,25 @@ class Session:
         """
         if parallel is False:
             return None
-        if self._service is not None:
-            config = {
-                "workers": int(workers) if workers is not None else None,
-                "chunk_size": None,
-                "mp_context": None,
-                "scenario_transport": self._service.get("scenario_transport"),
-                "service": self._service,
-            }
-            # 0 is meaningful on a spool: rely on external workers
-            if config["workers"] is not None and config["workers"] < 0:
+        spool = self._service or self._remote
+        if spool is not None:
+            # 0 is meaningful on a spool: no local workers, rely on
+            # external `repro worker` processes
+            if workers is not None and int(workers) < 0:
                 raise SessionError(f"workers must be >= 0 on a spool, got {workers}")
-            return config
-        if self._remote is not None:
-            config = {
-                "workers": int(workers) if workers is not None else None,
-                "chunk_size": None,
-                "mp_context": None,
-                "scenario_transport": self._remote.get("scenario_transport"),
-                "remote": self._remote,
-            }
-            # 0 is meaningful on the spool transport: no local workers,
-            # rely on external `repro worker` processes
-            if config["workers"] is not None and config["workers"] < 0:
-                raise SessionError(f"workers must be >= 0 on a spool, got {workers}")
-            return config
+            return {**spool, "workers": int(workers) if workers is not None else None}
         if parallel is None and workers is None and self._parallel is None:
             return None
-        config = dict(
-            self._parallel
-            if self._parallel is not None
-            else {
-                "workers": None,
-                "chunk_size": None,
-                "mp_context": None,
-                "scenario_transport": None,
-            }
-        )
+        config = dict(self._parallel or _POOL_DEFAULTS)
         if workers is not None:
             if int(workers) < 1:
                 raise SessionError(f"workers must be >= 1, got {workers}")
             config["workers"] = int(workers)
         return config
 
-    def _check_stream(self, stream: bool, pool_config: dict[str, Any] | None) -> None:
+    def _check_stream(self, stream: bool, config: dict[str, Any] | None) -> None:
         """Streaming fan-in only exists on the spool transport."""
-        if not stream or (
-            pool_config is not None
-            and (
-                pool_config.get("remote") is not None
-                or pool_config.get("service") is not None
-            )
-        ):
+        if not stream or (config is not None and ("remote" in config or "service" in config)):
             return
         if self._remote is not None or self._service is not None:
             # a spool IS configured; the explicit parallel=False disabled it
@@ -1429,37 +1390,6 @@ class Session:
             "stream=True needs the spool transport — configure "
             "Session.remote(spool=...) or Session.service(spool=...) first"
         )
-
-    @staticmethod
-    def _check_transport(value: str | None) -> None:
-        """Reject anything but ``None`` or a known scenario transport name."""
-        if value is not None and value not in _TRANSPORTS:
-            raise SessionError(
-                f"unknown scenario transport {value!r}; "
-                f"expected one of {sorted(_TRANSPORTS)}"
-            )
-
-    def _effective_transport(
-        self,
-        override: str | None,
-        pool_config: dict[str, Any],
-        default: str = "value",
-    ) -> str:
-        """The scenario transport a parallel run should use.
-
-        Both sources are validated where they enter the session (the run
-        methods for the override, :meth:`parallel` for the builder
-        configuration), so this only resolves precedence.  ``default``
-        preserves each run shape's historical transport: ``"value"`` for
-        ``compare`` (scenarios were always pre-drawn), ``"redraw"`` for
-        ``run_many`` (units always drew worker-side).
-        """
-        transport = (
-            override
-            if override is not None
-            else pool_config.get("scenario_transport")
-        )
-        return transport if transport is not None else default
 
     def _redraw_supported(self) -> bool:
         """True when workers can re-draw the compare scenarios bit-identically.
@@ -1556,91 +1486,35 @@ class Session:
         )
 
     def _executor_for(self, config: dict[str, Any]):
-        service = config.get("service")
-        if service is not None:
-            from repro.runtime.remote import (
-                DEFAULT_LEASE_TIMEOUT,
-                DEFAULT_MAX_REQUEUES,
-                DEFAULT_POLL_INTERVAL,
-            )
-            from repro.service.queue import QueuedSweepExecutor
+        """The executor a pool config selects: service, spool or process pool."""
+        if "service" in config:
+            from repro.service.queue import QueuedSweepExecutor as executor_type
 
-            workers = config.get("workers")
-            cache = self._parallel_artifact_cache()
-            return QueuedSweepExecutor(
-                service["spool"],
-                queue=service["queue"],
-                tenant=service["tenant"],
-                priority=service["priority"],
-                quota=service["quota"],
-                pump=service["pump"],
-                lease_timeout=(
-                    service["lease_timeout"]
-                    if service["lease_timeout"] is not None
-                    else DEFAULT_LEASE_TIMEOUT
-                ),
-                poll_interval=(
-                    service["poll_interval"]
-                    if service["poll_interval"] is not None
-                    else DEFAULT_POLL_INTERVAL
-                ),
-                max_requeues=(
-                    service["max_requeues"]
-                    if service["max_requeues"] is not None
-                    else DEFAULT_MAX_REQUEUES
-                ),
-                timeout=service["timeout"],
-                local_workers=(
-                    workers if workers is not None else service["local_workers"]
-                ),
-                source_cache=cache,
-                worker_cache_dir=str(cache.root) if cache is not None else None,
-                sync_artifacts=not self._artifacts_disabled,
-            )
-        remote = config.get("remote")
-        if remote is not None:
-            from repro.runtime.remote import (
-                DEFAULT_LEASE_TIMEOUT,
-                DEFAULT_MAX_REQUEUES,
-                DEFAULT_POLL_INTERVAL,
-                RemoteSweepExecutor,
-            )
+            options = config["service"]
+        elif "remote" in config:
+            from repro.runtime.remote import RemoteSweepExecutor as executor_type
 
-            workers = config.get("workers")
-            cache = self._parallel_artifact_cache()
-            return RemoteSweepExecutor(
-                remote["spool"],
-                lease_timeout=(
-                    remote["lease_timeout"]
-                    if remote["lease_timeout"] is not None
-                    else DEFAULT_LEASE_TIMEOUT
-                ),
-                poll_interval=(
-                    remote["poll_interval"]
-                    if remote["poll_interval"] is not None
-                    else DEFAULT_POLL_INTERVAL
-                ),
-                max_requeues=(
-                    remote["max_requeues"]
-                    if remote["max_requeues"] is not None
-                    else DEFAULT_MAX_REQUEUES
-                ),
-                timeout=remote["timeout"],
-                local_workers=workers if workers is not None else remote["local_workers"],
-                source_cache=cache,
-                # locally-spawned workers hydrate from the session's cache,
-                # not the user's global one — .artifacts(dir) stays isolating
-                worker_cache_dir=str(cache.root) if cache is not None else None,
-                # an explicit .artifacts(False) opts the spool transport out
-                # of artifact sync too: workers compile locally
-                sync_artifacts=not self._artifacts_disabled,
-            )
-        from repro.runtime.pool import SweepExecutor
+            options = config["remote"]
+        else:
+            from repro.runtime.pool import SweepExecutor
 
-        return SweepExecutor(
-            config.get("workers"),
-            chunk_size=config.get("chunk_size"),
-            mp_context=config.get("mp_context"),
+            return SweepExecutor(
+                config["workers"],
+                chunk_size=config["chunk_size"],
+                mp_context=config["mp_context"],
+            )
+        if config["workers"] is not None:
+            options = {**options, "local_workers": config["workers"]}
+        cache = self._parallel_artifact_cache()
+        return executor_type(
+            **options,
+            source_cache=cache,
+            # locally-spawned workers hydrate from the session's cache,
+            # not the user's global one — .artifacts(dir) stays isolating
+            worker_cache_dir=str(cache.root) if cache is not None else None,
+            # an explicit .artifacts(False) opts the spool transport out
+            # of artifact sync too: workers compile locally
+            sync_artifacts=not self._artifacts_disabled,
         )
 
     @staticmethod
@@ -1649,275 +1523,202 @@ class Session:
             return None
         return lambda done, total, unit: progress(done, total, unit.label)
 
-    @staticmethod
-    def _sweep_consumed_window(error: BaseException) -> bool:
-        """The one advance-on-failure policy for every parallel run shape.
-
-        Unit failures mean the sweep ran — the parent sampler must advance so
-        a caller that catches and continues stays on the serial scenario
-        stream.  A transport failure (submit error, timeout: an executor
-        error with no per-unit ``failures`` attached) means no scenario
-        window was consumed, and a serial retry must still see it.
-        """
-        return bool(getattr(error, "failures", ()))
-
-    def _run_plan_advancing(
-        self, executor: Any, plan: Any, progress: Any, advance: Any
-    ):
-        """Run a plan, calling ``advance()`` iff the sweep consumed its window."""
-        swept = False  # KeyboardInterrupt/SystemExit mid-sweep must not advance
-        try:
-            result = executor.run(plan, progress=self._adapt_progress(progress))
-            swept = True
-            return result
-        except Exception as error:
-            swept = self._sweep_consumed_window(error)
-            raise
-        finally:
-            if swept:
-                advance()
-
-    def _run_many_parallel(
+    def _plan(
         self,
-        entries: Sequence[tuple[str, ManagerSpec, int, int]],
-        config: dict[str, Any],
-        progress: Any,
-        vectorize: str | None = None,
-        scenario_transport: str | None = None,
-        stream: bool = False,
-        backend: str | None = None,
-        chunk_size: int | None = None,
-    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
+        specs: Sequence[ManagerSpec],
+        build_plan: Callable[[Any], Any],
+        options: tuple[str, str | None, int | None],
+    ) -> Any:
+        """Warm the artifact cache for ``specs`` and build a plan on the
+        resulting execution payload."""
+        cache = self._parallel_artifact_cache()
+        self._prepare_parallel_cache(cache, specs)
+        return build_plan(self._execution_payload(cache, *options))
+
+    def _run_many_planner(
+        self, entries: Sequence[tuple[str, ManagerSpec, int, int]], transport: str | None
+    ) -> Callable[[Any], Any]:
+        """The plan builder shared by parallel :meth:`run_many` and
+        :meth:`sweep_plan`: units re-draw their slice worker-side unless
+        ``transport`` is ``"value"``."""
         from repro.runtime.plan import plan_run_many
 
-        with obs_trace.span("session.run_many", units=len(entries)):
+        def build(payload: Any) -> Any:
+            batches = None
+            if transport == "value":
+                # ship-by-value: draw every unit's slice here, in entry
+                # order — exactly the serial draw order, so the parent
+                # sampler ends where a serial run would and the units
+                # carry their tensors
+                system = self._execution_system()
+                batches = [
+                    system.draw_scenarios(n_cycles, np.random.default_rng(seed))
+                    for _, _, n_cycles, seed in entries
+                ]
+            track = supports_replay(payload.system.timing.scenario_sampler)
+            return plan_run_many(payload, entries, track_sampler=track, scenarios=batches)
+
+        return build
+
+    def _sweep(
+        self,
+        span: str,
+        span_attrs: dict[str, Any],
+        build_plan: Callable[[Any], Any],
+        *,
+        config: dict[str, Any],
+        specs: Sequence[ManagerSpec],
+        label_of: Callable[[Any, str], str],
+        seed: int | None,
+        advance: Callable[[Any], None],
+        options: tuple[str, str | None, int | None],
+        progress: Any,
+        stream: bool,
+    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
+        """The one parallel route behind :meth:`compare` and :meth:`run_many`.
+
+        ``session.plan`` builds the plan, :meth:`_executor_for` picks the
+        transport, and the results fan in — all at once under
+        ``session.fan_in``, or incrementally through :meth:`_stream_plan`.
+        ``label_of(unit, manager_name)`` names each result (de-duplicated
+        in fan-in order), ``seed`` is the result seed (``None``: the unit's
+        own) and ``advance(plan)`` moves the parent's scenario sampler to
+        where a serial run would leave it.
+        """
+        with obs_trace.span(span, **span_attrs):
             with obs_trace.span("session.plan"):
-                cache = self._parallel_artifact_cache()
-                self._prepare_parallel_cache(cache, [spec for _, spec, _, _ in entries])
-                payload = self._execution_payload(cache, vectorize, backend, chunk_size)
-                sampler = payload.system.timing.scenario_sampler
-                track = supports_replay(sampler)
-                batches = None
-                if (
-                    self._effective_transport(scenario_transport, config, default="redraw")
-                    == "value"
-                ):
-                    # ship-by-value: draw every unit's slice here, in entry
-                    # order — exactly the serial draw order, so the parent
-                    # sampler ends where a serial run would and the units
-                    # carry their tensors
-                    exec_system = self._execution_system()
-                    batches = [
-                        exec_system.draw_scenarios(n_cycles, np.random.default_rng(seed))
-                        for _, _, n_cycles, seed in entries
-                    ]
-                plan = plan_run_many(
-                    payload, entries, track_sampler=track, scenarios=batches
-                )
+                plan = self._plan(specs, build_plan, options)
             executor = self._executor_for(config)
             if stream:
                 # the generator outlives this frame, so worker spans become
                 # their own trace roots on the streaming path
-                return self._stream_plan(
-                    plan, executor, progress, seed_from_unit=True, advance_draws=track
-                )
-            def advance() -> None:
-                if track and plan.total_draws:
-                    # leave the shared scenario stream exactly where a serial
-                    # run would
-                    sampler.seek(sampler.cursor + plan.total_draws)
-
+                return self._stream_plan(plan, executor, progress, label_of, seed, advance)
             with obs_trace.span("session.fan_in"):
                 outcome = self._run_plan_advancing(executor, plan, progress, advance)
         obs_export.flush()
-        deadlines = self.resolved_deadlines()
-        machine_name = self._machine.name if self._machine is not None else None
-        runs: dict[str, RunResult] = {}
-        for unit in plan.units:
-            runs[unit.label] = RunResult(
-                manager_key=unit.manager.key,
-                manager_name=outcome.manager_names[unit.index],
-                deadlines=deadlines,
-                seed=unit.seed,
-                machine_name=machine_name,
-                **_result_fields(outcome.outcomes[unit.index]),
-            )
-        return BatchResult(runs=runs)
+        records = (
+            (unit, outcome.manager_names[unit.index], outcome.outcomes[unit.index])
+            for unit in plan.units
+        )
+        return BatchResult(runs=dict(self._results(records, label_of, seed)))
 
-    def _compare_parallel(
-        self,
-        chosen: Sequence[ManagerSpec],
-        scenarios: ScenarioBatch | Sequence[ActualTimeScenario],
-        used_seed: int | None,
-        config: dict[str, Any],
-        progress: Any,
-        vectorize: str | None = None,
-        stream: bool = False,
-        backend: str | None = None,
-        chunk_size: int | None = None,
-    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
-        """Ship-by-value compare: every unit carries the pre-drawn batch tensor."""
-        from repro.runtime.plan import plan_compare
-
-        with obs_trace.span("session.compare", managers=len(chosen), transport="value"):
-            with obs_trace.span("session.plan"):
-                cache = self._parallel_artifact_cache()
-                self._prepare_parallel_cache(cache, list(chosen))
-                payload = self._execution_payload(cache, vectorize, backend, chunk_size)
-                plan = plan_compare(payload, list(chosen), scenarios)
-            executor = self._executor_for(config)
-            if stream:
-                return self._stream_plan(plan, executor, progress, fixed_seed=used_seed)
-            with obs_trace.span("session.fan_in"):
-                outcome = executor.run(plan, progress=self._adapt_progress(progress))
-        obs_export.flush()
-        return self._collect_compare_runs(plan, outcome, used_seed)
-
-    def _compare_parallel_redraw(
-        self,
-        chosen: Sequence[ManagerSpec],
-        n_cycles: int,
-        used_seed: int,
-        config: dict[str, Any],
-        progress: Any,
-        vectorize: str | None = None,
-        stream: bool = False,
-        backend: str | None = None,
-        chunk_size: int | None = None,
-    ) -> BatchResult | Iterator[tuple[str, RunResult]]:
-        """Re-draw compare: units ship no scenario data, workers re-draw them.
-
-        The payload's system still carries the sampler position the serial
-        draw would start from, so each worker reproduces exactly the batch
-        :meth:`compare` would have drawn here; afterwards the parent sampler
-        is advanced past the shared window, leaving the scenario stream
-        exactly where the serial path would.
-        """
-        from repro.runtime.plan import plan_compare_redraw
-
-        with obs_trace.span("session.compare", managers=len(chosen), transport="redraw"):
-            with obs_trace.span("session.plan"):
-                cache = self._parallel_artifact_cache()
-                self._prepare_parallel_cache(cache, list(chosen))
-                payload = self._execution_payload(cache, vectorize, backend, chunk_size)
-                plan = plan_compare_redraw(payload, list(chosen), n_cycles, used_seed)
-            executor = self._executor_for(config)
-            if stream:
-                return self._stream_plan(
-                    plan, executor, progress, fixed_seed=used_seed, advance_cycles=n_cycles
-                )
-            def advance() -> None:
-                sampler = payload.system.timing.scenario_sampler
-                if supports_replay(sampler):
-                    sampler.seek(sampler.cursor + n_cycles)
-
-            with obs_trace.span("session.fan_in"):
-                outcome = self._run_plan_advancing(executor, plan, progress, advance)
-        obs_export.flush()
-        return self._collect_compare_runs(plan, outcome, used_seed)
+    def _run_plan_advancing(
+        self, executor: Any, plan: Any, progress: Any, advance: Callable[[Any], None]
+    ) -> Any:
+        """Run a plan, calling ``advance(plan)`` iff the sweep consumed its window."""
+        with _advancing(lambda: advance(plan)):
+            return executor.run(plan, progress=self._adapt_progress(progress))
 
     def _stream_plan(
         self,
         plan: Any,
         executor: Any,
         progress: Any,
-        *,
-        seed_from_unit: bool = False,
-        fixed_seed: int | None = None,
-        advance_draws: bool = False,
-        advance_cycles: int | None = None,
+        label_of: Callable[[Any, str], str],
+        seed: int | None,
+        advance: Callable[[Any], None],
     ) -> Iterator[tuple[str, RunResult]]:
         """Yield ``(label, RunResult)`` pairs as spool workers finish units.
 
         The incremental fan-in behind ``run_many(stream=True)`` and
-        ``compare(stream=True)``: results arrive in completion order.  Labels
-        are the units' plan labels when ``seed_from_unit`` (``run_many``:
-        unique by construction) and the executed managers' reporting names —
-        de-duplicated in arrival order — otherwise (``compare``).  After the
-        stream drains, the parent's scenario sampler is advanced to where a
-        serial run would leave it (``advance_draws`` for ``run_many`` plans,
-        ``advance_cycles`` for re-draw compare windows), and any failed units
-        are raised collectively as a
-        :class:`~repro.runtime.pool.SweepExecutionError`.  The sampler
-        advance also happens when the consumer abandons the iterator early
-        (``break``/``close()``) — the sweep was submitted, so the session's
-        scenario stream must end at the serial position either way; failures
-        are only raised on a full drain (an early break opts out of them).
+        ``compare(stream=True)``: results arrive in completion order, named
+        by the same label rule as the all-at-once fan-in (manager names are
+        therefore de-duplicated in arrival order).  After the stream
+        drains, ``advance(plan)`` leaves the parent's scenario sampler
+        where a serial run would, and any failed units are raised
+        collectively as a :class:`~repro.runtime.pool.SweepExecutionError`.
+        The sampler advance also happens when the consumer abandons the
+        iterator early (``break``/``close()``) — the sweep was submitted,
+        so the session's scenario stream must end at the serial position
+        either way; failures are only raised on a full drain (an early
+        break opts out of them).
         """
+        from repro.runtime.pool import SweepExecutionError, UnitFailure
+
+        failures: list[Any] = []
+        source = executor.stream(plan, progress=self._adapt_progress(progress))
+
+        def records() -> Iterator[tuple[Any, str, Any]]:
+            for index, success, head, tail in source:
+                unit = plan.units[index]
+                if success:
+                    yield unit, head, tail
+                else:
+                    failures.append(
+                        UnitFailure(index=index, label=unit.label, error=head, traceback=tail)
+                    )
+
+        with _advancing(lambda: advance(plan)):
+            try:
+                yield from self._results(records(), label_of, seed)
+            finally:
+                # deterministic even on early break/close: withdraw the
+                # plan from the spool before the sampler advances
+                source.close()
+        if failures:
+            failures.sort(key=lambda failure: failure.index)
+            raise SweepExecutionError(failures)
+
+    def _run_serial(
+        self,
+        entries: Sequence[tuple[str, ManagerSpec, int, int]],
+        label_of: Callable[[Any, str], str],
+        options: tuple[str, str | None, int | None],
+        progress: Any,
+        scenarios: ScenarioBatch | None = None,
+    ) -> BatchResult:
+        """Run ``(label, manager spec, cycles, seed)`` entries one after
+        another on this session's own system and collect the results.
+
+        ``scenarios`` (compare) are replayed by every entry; without them
+        each entry draws from the session's scenario stream in turn.
+        ``progress(done, total, label)`` follows each entry.
+        """
+        from repro.runtime.plan import SweepUnit
+
+        context = self.build_context()
+        units = [
+            SweepUnit(index=index, label=label, manager=spec, cycles=n_cycles, seed=seed)
+            for index, (label, spec, n_cycles, seed) in enumerate(entries)
+        ]
+
+        def records() -> Iterator[tuple[Any, str, Any]]:
+            for unit in units:
+                manager = build_manager(unit.manager, context)
+                with obs_trace.span("session.execute", label=unit.label, manager=unit.manager.key):
+                    tail = self._execute(manager, unit.cycles, unit.seed, scenarios, options)
+                yield unit, manager.name, tail
+                if progress is not None:
+                    progress(unit.index + 1, len(units), unit.label)
+
+        runs = dict(self._results(records(), label_of, None))
+        obs_export.flush()
+        return BatchResult(runs=runs)
+
+    def _results(
+        self,
+        records: Iterable[tuple[Any, str, Any]],
+        label_of: Callable[[Any, str], str],
+        seed: int | None,
+    ) -> Iterator[tuple[str, RunResult]]:
+        """Wrap ``(unit, manager name, outcomes-or-summary)`` records as
+        uniquely labelled :class:`~repro.api.results.RunResult` objects."""
         from repro.runtime.plan import unique_label
-        from repro.runtime.pool import UnitFailure
 
         deadlines = self.resolved_deadlines()
         machine_name = self._machine.name if self._machine is not None else None
         taken: set[str] = set()
-        failures: list[Any] = []
-        advance = True
-        source = executor.stream(plan, progress=self._adapt_progress(progress))
-        try:
-            for index, success, head, tail in source:
-                unit = plan.units[index]
-                if not success:
-                    failures.append(
-                        UnitFailure(index=index, label=unit.label, error=head, traceback=tail)
-                    )
-                    continue
-                label = unit.label if seed_from_unit else unique_label(taken, head, index)
-                taken.add(label)
-                yield label, RunResult(
-                    manager_key=unit.manager.key,
-                    manager_name=head,
-                    deadlines=deadlines,
-                    seed=unit.seed if seed_from_unit else fixed_seed,
-                    machine_name=machine_name,
-                    **_result_fields(tail),
-                )
-        except GeneratorExit:
-            # early break/close: the plan was submitted and partial results
-            # were consumed — the documented contract still advances
-            raise
-        except BaseException as error:
-            # transport failures (submit error, timeout) and interrupts
-            # consumed no window; unit failures are collected locally and
-            # never raised by the source
-            advance = self._sweep_consumed_window(error)
-            raise
-        finally:
-            # deterministic even on early break/close: withdraw the plan from
-            # the spool and leave the scenario stream at the serial position
-            source.close()
-            sampler = plan.payload.system.timing.scenario_sampler
-            if advance:
-                if advance_draws and plan.total_draws and supports_replay(sampler):
-                    sampler.seek(sampler.cursor + plan.total_draws)
-                if advance_cycles and supports_replay(sampler):
-                    sampler.seek(sampler.cursor + advance_cycles)
-        if failures:
-            from repro.runtime.pool import SweepExecutionError
-
-            failures.sort(key=lambda failure: failure.index)
-            raise SweepExecutionError(failures)
-
-    def _collect_compare_runs(
-        self, plan: Any, outcome: Any, used_seed: int | None
-    ) -> BatchResult:
-        """Label and wrap the pool outcomes of a compare plan (either transport)."""
-        from repro.runtime.plan import unique_label
-
-        deadlines = self.resolved_deadlines()
-        machine_name = self._machine.name if self._machine is not None else None
-        runs: dict[str, RunResult] = {}
-        for unit in plan.units:
-            name = outcome.manager_names[unit.index]
-            label = unique_label(runs, name, unit.index)
-            runs[label] = RunResult(
+        for unit, name, tail in records:
+            label = unique_label(taken, label_of(unit, name), unit.index)
+            taken.add(label)
+            yield label, RunResult(
                 manager_key=unit.manager.key,
                 manager_name=name,
                 deadlines=deadlines,
-                seed=used_seed,
+                seed=unit.seed if seed is None else seed,
                 machine_name=machine_name,
-                **_result_fields(outcome.outcomes[unit.index]),
+                **_result_fields(tail),
             )
-        return BatchResult(runs=runs)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         source = (

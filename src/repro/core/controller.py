@@ -275,7 +275,7 @@ class ControlledSystem:
         vectorised kernels — bit-identical outcomes, one NumPy step per
         action instead of a Python iteration per action per cycle.
         """
-        from .engine import run_cycles_batch
+        from .streaming import execute_cycles
 
         if n_cycles < 1:
             raise ValueError(f"n_cycles must be >= 1, got {n_cycles}")
@@ -285,7 +285,7 @@ class ControlledSystem:
             )
         generator = rng if rng is not None else np.random.default_rng(0)
         return list(
-            run_cycles_batch(
+            execute_cycles(
                 self._system,
                 self._manager,
                 n_cycles,

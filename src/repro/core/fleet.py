@@ -197,7 +197,10 @@ class FleetPlan:
         A member joins a bucket when its manager lowers, its overhead
         model declares deterministic charges and its scenarios (when
         shipped by value) index the system's own quality set; otherwise
-        it is routed to the solo streamed fallback.  ``vectorize="never"``
+        it is routed to the solo streamed fallback — as is every member
+        whose resolved backend (explicit, else ``$REPRO_BACKEND``) is not
+        ``numpy``, since the fused programs are NumPy-only and the solo run
+        honours the requested backend.  ``vectorize="never"``
         forces the fallback, ``"always"`` raises when no kernel exists —
         the same contract as the engine's dispatcher.
         """
@@ -212,10 +215,11 @@ class FleetPlan:
         grouped: dict[tuple, list[int]] = {}
         specs: dict[tuple, list[KernelSpec]] = {}
         fallback: list[int] = []
+        numpy_backend = get_backend("numpy")
         for index, member in enumerate(members):
             mode = coerce_vectorize_mode(member.vectorize)
             # validate the backend name up front — never silently substituted
-            get_backend(member.backend)
+            backend = get_backend(member.backend)
             spec = member.manager.lower() if mode != "never" else None
             stackable = (
                 spec is not None
@@ -231,7 +235,8 @@ class FleetPlan:
                     "no vectorised decision kernel for this overhead model and "
                     "scenario set"
                 )
-            if mode == "never" or not stackable:
+            # the stacked programs are NumPy's: any other backend runs solo
+            if mode == "never" or not stackable or backend is not numpy_backend:
                 fallback.append(index)
                 continue
             key = bucket_key(spec, member.system.n_actions)

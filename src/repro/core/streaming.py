@@ -54,6 +54,7 @@ from .engine import (
     EngineError,
     coerce_vectorize_mode,
     compile_decision_kernel,
+    run_cycles_batch,
     run_lockstep_arrays,
     scenarios_vectorizable,
     _scenario_tensor,
@@ -65,6 +66,7 @@ from .timing import ActualTimeScenario, ScenarioBatch
 __all__ = [
     "QuantileSketch",
     "StreamingMetrics",
+    "execute_cycles",
     "run_cycles_streamed",
 ]
 
@@ -549,3 +551,50 @@ def run_cycles_streamed(
         registry.inc("engine.chunks", chunks)
         registry.set("engine.peak_chunk_bytes", float(peak_chunk_bytes))
     return accumulator
+
+
+def execute_cycles(
+    system: ParameterizedSystem,
+    manager: QualityManager,
+    cycles: int | None = None,
+    *,
+    chunk_size: int | None = None,
+    deadlines: DeadlineFunction | None = None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
+    rng: np.random.Generator | None = None,
+    overhead_model: OverheadModelProtocol | None = None,
+    vectorize: object = "auto",
+    backend: str | None = None,
+) -> tuple[CycleOutcome, ...] | StreamingMetrics:
+    """Run one solo execution, materialised or streamed.
+
+    The single call behind ``Session.run``, the serial ``compare`` /
+    ``run_many`` loops and the sweep workers: ``chunk_size=None`` returns
+    the per-cycle outcomes of :func:`~repro.core.engine.run_cycles_batch`,
+    a chunk size returns the :class:`StreamingMetrics` summary of
+    :func:`run_cycles_streamed` (which then needs ``deadlines``).  Either
+    way the metrics are bit-identical for the same inputs.
+    """
+    if chunk_size is None:
+        return run_cycles_batch(
+            system,
+            manager,
+            cycles,
+            scenarios=scenarios,
+            rng=rng,
+            overhead_model=overhead_model,
+            vectorize=vectorize,
+            backend=backend,
+        )
+    return run_cycles_streamed(
+        system,
+        manager,
+        cycles,
+        deadlines=deadlines,
+        chunk_size=chunk_size,
+        scenarios=scenarios,
+        rng=rng,
+        overhead_model=overhead_model,
+        vectorize=vectorize,
+        backend=backend,
+    )

@@ -40,8 +40,7 @@ from repro.obs import trace as obs_trace
 from repro.obs.metrics import registry as obs_registry
 from repro.obs.state import enabled as obs_enabled
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
-from repro.core.engine import run_cycles_batch
-from repro.core.streaming import run_cycles_streamed
+from repro.core.streaming import execute_cycles
 from repro.core.system import CycleOutcome
 from repro.core.timing import supports_replay
 
@@ -208,77 +207,38 @@ class _WorkerRuntime:
     def execute(self, unit: SweepUnit) -> tuple[str, object]:
         """Run one unit and return ``(manager_name, outcomes-or-summary)``.
 
-        Units run through :func:`~repro.core.engine.run_cycles_batch`: each
-        shard executes its chunk vectorised when the unit's manager lowers to
-        a decision kernel, and through the scalar loop otherwise — in both
-        cases bit-identical to the serial baseline.  Shipped scenario batches
-        are validated against the hydrated system first; draw and re-draw
-        units position the sampler stream and draw their own batch.
-
-        With a payload ``chunk_size`` the unit runs through the streaming
-        engine instead: the second element is a
-        :class:`~repro.core.streaming.StreamingMetrics` summary (constant
-        worker memory, a few hundred bytes over the wire) whose metrics are
-        bit-identical to the materialised outcomes.
+        Units run through :func:`~repro.core.streaming.execute_cycles`, the
+        same solo call as the serial baseline: vectorised when the unit's
+        manager lowers to a decision kernel, scalar otherwise, and streamed
+        into a :class:`~repro.core.streaming.StreamingMetrics` summary
+        (constant worker memory, a few hundred bytes over the wire) when the
+        payload carries a ``chunk_size``.  Shipped scenario batches are
+        validated against the hydrated system first; draw and re-draw units
+        position the sampler stream and draw their own batch.
         """
         if unit.fleet is not None:
             return self._execute_fleet(unit)
         manager = build_manager(unit.manager, self._context())
-        vectorize = getattr(self._payload, "vectorize", "auto")
-        backend = getattr(self._payload, "backend", None)
-        chunk_size = getattr(self._payload, "chunk_size", None)
         if unit.scenarios is not None:
             self._check_unit_scenarios(unit)
-            if chunk_size is not None:
-                summary = run_cycles_streamed(
-                    self._exec_system,
-                    manager,
-                    scenarios=unit.scenarios,
-                    deadlines=self._payload.deadlines,
-                    chunk_size=chunk_size,
-                    overhead_model=self._overhead_model,
-                    vectorize=vectorize,
-                    backend=backend,
-                )
-                return manager.name, summary
-            outcomes = run_cycles_batch(
-                self._exec_system,
-                manager,
-                scenarios=unit.scenarios,
-                overhead_model=self._overhead_model,
-                vectorize=vectorize,
-                backend=backend,
-            )
-            return manager.name, outcomes
-        if (
+        elif (
             unit.sampler_offset is not None
             and self._base_cursor is not None
             and supports_replay(self._sampler)
         ):
             self._sampler.seek(self._base_cursor + unit.sampler_offset)
-        if chunk_size is not None:
-            summary = run_cycles_streamed(
-                self._exec_system,
-                manager,
-                unit.cycles,
-                deadlines=self._payload.deadlines,
-                chunk_size=chunk_size,
-                rng=np.random.default_rng(unit.seed),
-                overhead_model=self._overhead_model,
-                vectorize=vectorize,
-                backend=backend,
-            )
-            return manager.name, summary
-        outcomes = run_cycles_batch(
+        return manager.name, execute_cycles(
             self._exec_system,
             manager,
             unit.cycles,
-            rng=np.random.default_rng(unit.seed),
+            chunk_size=getattr(self._payload, "chunk_size", None),
+            deadlines=self._payload.deadlines,
+            scenarios=unit.scenarios,
+            rng=np.random.default_rng(unit.seed) if unit.scenarios is None else None,
             overhead_model=self._overhead_model,
-            vectorize=vectorize,
-            backend=backend,
+            vectorize=getattr(self._payload, "vectorize", "auto"),
+            backend=getattr(self._payload, "backend", None),
         )
-        return manager.name, outcomes
 
     def _fleet_member_system(self):
         """An execution system one fleet member may draw from privately.

@@ -230,6 +230,35 @@ class TestBucketing:
         with pytest.raises(Exception, match="no-such-backend"):
             FleetPlan.plan([member])
 
+    def test_non_numpy_backend_runs_solo_with_that_backend(self):
+        """The stacked programs are NumPy's, so a requested backend is
+        honoured by routing its member to the solo fallback."""
+        from repro.core import backend as backends
+
+        numpy_backend = backends.get_backend("numpy")
+        compiled = []
+
+        class CountingBackend:
+            name = "counting"
+
+            def compile(self, spec):
+                compiled.append(spec.op)
+                return numpy_backend.compile(spec)
+
+        backends.register_backend("counting", CountingBackend)
+        try:
+            member = make_member("region", "m", cycles=13, seed=4, backend="counting")
+            plan = FleetPlan.plan([member])
+            assert plan.fallback == (0,) and plan.buckets == ()
+            (summary,) = run_fleet([member], plan=plan)
+            assert compiled
+            reference = solo_summary(make_member("region", "m", cycles=13, seed=4))
+            assert summary.metrics() == reference.metrics()
+            assert summary.quality_level_counts == reference.quality_level_counts
+        finally:
+            backends._FACTORIES.pop("counting", None)
+            backends._INSTANCES.pop("counting", None)
+
 
 class TestRunFleet:
     def test_parity_across_every_key_in_one_fleet(self):

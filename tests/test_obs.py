@@ -210,8 +210,11 @@ def test_span_records_errors():
 # --------------------------------------------------------------------------- #
 
 
-def _single_tree(out: Path, worker_span: str, n_units: int) -> dict:
-    """Assert the exported JSONL merges into one multi-process trace tree."""
+def _single_tree(
+    out: Path, worker_span: str, n_units: int, root: str = "session.run_many"
+) -> dict:
+    """Assert the exported JSONL merges into one multi-process trace tree
+    rooted at ``root``, with the sweep route's plan and fan-in under it."""
     events = export.read_events(out)
     spans = [e for e in events if e.get("type") == "span"]
     assert {s["trace_id"] for s in spans if s["name"].startswith("session.")} == {
@@ -226,7 +229,10 @@ def _single_tree(out: Path, worker_span: str, n_units: int) -> dict:
     assert any(s["pid"] != os.getpid() for s in units)  # really cross-process
     report = export.build_report(events)
     assert len(report["trees"]) == 1
-    assert report["trees"][0]["span"]["name"] == "session.run_many"
+    tree = report["trees"][0]
+    assert tree["span"]["name"] == root
+    children = {child["span"]["name"] for child in tree["children"]}
+    assert {"session.plan", "session.fan_in"} <= children
     assert len(report["processes"]) >= 2
     return report
 
@@ -242,6 +248,19 @@ def test_pool_sweep_merges_into_one_trace_tree(tmp_path, monkeypatch, obs_dir):
     merged = report["metrics"]["metrics"]
     assert merged["pool.units.ok"]["value"] == len(_GRID)
     assert "pool.units.failed" not in merged
+
+
+@pytest.mark.parametrize("transport", ["value", "redraw"])
+def test_pool_compare_merges_into_one_trace_tree(tmp_path, monkeypatch, obs_dir, transport):
+    monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "serial-telemetry"))
+    serial = _session(tmp_path).compare(cycles=2)
+    monkeypatch.setenv("REPRO_OBS_DIR", str(obs_dir))
+    pooled = _session(tmp_path).parallel(2).compare(cycles=2, scenario_transport=transport)
+    _batches_identical(serial, pooled)
+
+    report = _single_tree(obs_dir, "pool.unit", len(serial.runs), root="session.compare")
+    (root,) = [s for s in report["spans"] if s["name"] == "session.compare"]
+    assert root["attrs"]["transport"] == transport
 
 
 def test_spool_sweep_with_subprocess_worker_merges_into_one_trace_tree(

@@ -454,6 +454,41 @@ class TestParallelBitIdentity:
         inline = _sweep_session(tmp_path).run_many(_SWEEP_SPECS, workers=1)
         _batches_identical(serial, inline)
 
+    @pytest.mark.parametrize("transport", ["redraw", "value"])
+    def test_sweep_plan_matches_the_executed_run_many_plan(
+        self, tmp_path, monkeypatch, transport
+    ):
+        """sweep_plan and parallel run_many share one plan builder."""
+        executed = []
+        original = SweepExecutor.run
+
+        def spy(self, plan, **kwargs):
+            executed.append(plan)
+            return original(self, plan, **kwargs)
+
+        monkeypatch.setattr(SweepExecutor, "run", spy)
+        planned = _sweep_session(tmp_path).sweep_plan(
+            _SWEEP_SPECS, scenario_transport=transport
+        )
+        _sweep_session(tmp_path).run_many(
+            _SWEEP_SPECS, workers=1, scenario_transport=transport
+        )
+        (ran,) = executed
+
+        def units(plan):
+            return [
+                (u.index, u.label, u.manager, u.cycles, u.seed, u.sampler_offset)
+                for u in plan.units
+            ]
+
+        assert units(planned) == units(ran)
+        assert [u.sampler_offset for u in planned.units] == [0, 1, 2, 3, 5]
+        for left, right in zip(planned.units, ran.units):
+            if transport == "redraw":
+                assert left.scenarios is None and right.scenarios is None
+            else:
+                assert np.array_equal(left.scenarios.tensor, right.scenarios.tensor)
+
 
 class TestPoolMechanics:
     def test_progress_callback(self):
