@@ -580,13 +580,12 @@ class Session:
     def backend(self, name: str | None = None) -> "Session":
         """Select the compute backend compiling the decision kernels.
 
-        ``"numpy"`` is the default; ``"numba"`` JIT-compiles the
-        comparison-bound kernel primitives when numba is installed (install
-        the ``numba`` extra).  ``None`` restores the default resolution
-        (``$REPRO_BACKEND``, else numpy).  Outcomes are bit-identical across
-        backends; naming an unknown or unavailable backend raises
-        immediately.  The per-call ``backend=`` keyword on the run methods
-        overrides this builder setting.
+        ``"numpy"`` is the default and the one backend that ships; any name
+        added through :func:`repro.core.backend.register_backend` is
+        accepted too.  ``None`` restores the default resolution
+        (``$REPRO_BACKEND``, else numpy).  Naming an unknown or unavailable
+        backend raises immediately, never falls back.  The per-call
+        ``backend=`` keyword on the run methods overrides this setting.
         """
         if name is not None:
             from repro.core.backend import get_backend

@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--backend",
         default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
+        help="registered kernel compute backend (default: $REPRO_BACKEND, else numpy)",
     )
     run.add_argument(
         "--chunk-size",
@@ -135,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--backend",
         default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
+        help="registered kernel compute backend (default: $REPRO_BACKEND, else numpy)",
     )
     compare.add_argument(
         "--chunk-size",
@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--backend",
         default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
+        help="registered kernel compute backend (default: $REPRO_BACKEND, else numpy)",
     )
     fleet.add_argument(
         "--chunk-size",
@@ -272,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--backend",
         default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
+        help="registered kernel compute backend (default: $REPRO_BACKEND, else numpy)",
     )
     sweep.add_argument(
         "--chunk-size",
@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiments.add_argument(
         "--backend",
         default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
+        help="registered kernel compute backend (default: $REPRO_BACKEND, else numpy)",
     )
     experiments.add_argument(
         "--scenario-transport",

@@ -1,34 +1,36 @@
 """Pluggable compute backends for the lowered decision kernels.
 
-A *backend* turns a declarative :class:`~repro.core.kernelspec.KernelSpec`
-into an executable program: an object whose ``decide(state_index, times)``
-returns ``(rows, steps, late)`` arrays for one lockstep batch invocation
-(``late`` is ``None`` for ops without a late path).  The engine
-(:mod:`repro.core.engine`) binds overhead charges and accounting around the
-program, so backends only implement the primitive math — and because every
-primitive performs the exact floating-point operation sequence of the scalar
-managers, outcomes stay bit-identical across backends.
+A *backend* turns a sequence of declarative
+:class:`~repro.core.kernelspec.KernelSpec` objects — one for a solo run, a
+fleet bucket's specs otherwise, all sharing an op and a table shape — into
+one executable program whose ``decide(state_index, times, members)``
+returns ``(rows, steps, late)`` for one lockstep invocation: ``members`` is
+the scalar index of the member owning every lane (``0`` for a solo run) or
+one member index per lane, and ``late`` is ``None`` for ops without a late
+path.  The engine (:mod:`repro.core.engine`) binds overhead charges and
+accounting around the program, so backends only implement the primitive
+math — and because every primitive performs the exact floating-point
+operation sequence of the scalar managers, outcomes stay bit-identical to
+the scalar loop.
 
-Two backends are registered:
-
-* ``numpy`` (the default) — pure NumPy implementations of all primitives;
-* ``numba`` — JIT-compiled inner loops for the comparison-bound primitives
-  (``lookup``/``relaxation``), delegating the rest to the NumPy programs.
-  It is *optional*: when numba is not installed the backend reports itself
-  unavailable and selecting it raises :class:`BackendError`.
+One backend ships: ``numpy`` (the default), pure NumPy programs for all six
+primitives.  The registry is the extension seam: :func:`register_backend`
+adds a named factory, and a factory returning ``None`` marks its backend
+unavailable, so selecting it raises :class:`BackendError` instead of
+falling back.
 
 Selection: :func:`get_backend` resolves an explicit name, else the
 ``REPRO_BACKEND`` environment variable, else ``numpy``.  The choice is
 plumbed end-to-end — ``Session.backend()``, the CLI ``--backend`` flags and
 the sweep :class:`~repro.runtime.plan.ExecutionPayload` all carry it, so
 pool, spool and service workers execute under the same backend as a local
-run.
+run, and fleet buckets key on it.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, Protocol, runtime_checkable
+from typing import Callable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -56,15 +58,17 @@ class BackendError(ValueError):
 
 @runtime_checkable
 class KernelProgram(Protocol):
-    """An executable lowering of one spec: batch decisions, no accounting."""
+    """An executable lowering of member-stacked specs: decisions, no accounting."""
 
     def decide(
-        self, state_index: int, times: np.ndarray
+        self, state_index: int, times: np.ndarray, members: int | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """Return ``(rows, steps, late)`` for one lockstep invocation.
 
-        ``late`` flags the cycles on the spec's late path (``None`` when the
-        op has no late/normal distinction).
+        ``members`` is one member index for every lane, or one per lane.
+        ``late`` flags the lanes on the spec's late path (``None`` when the
+        op has no late/normal distinction).  Any result may be a scalar
+        that broadcasts against ``times``.
         """
         ...
 
@@ -75,8 +79,8 @@ class KernelBackend(Protocol):
 
     name: str
 
-    def compile(self, spec: KernelSpec) -> KernelProgram:
-        """Build the executable program for one spec."""
+    def compile(self, specs: Sequence[KernelSpec]) -> KernelProgram:
+        """Build one program over specs sharing an op and a table shape."""
         ...
 
 
@@ -116,8 +120,7 @@ def get_backend(name: str | None = None) -> KernelBackend:
     """Resolve a backend: explicit name, else ``$REPRO_BACKEND``, else numpy.
 
     Raises :class:`BackendError` for unknown names and for registered
-    backends whose dependencies are missing (e.g. ``numba`` without numba
-    installed).
+    backends whose factory reports them unavailable.
     """
     if name is None:
         name = os.environ.get(ENV_BACKEND, "").strip() or "numpy"
@@ -143,11 +146,4 @@ def _numpy_factory() -> "KernelBackend | None":
     return NumpyKernelBackend()
 
 
-def _numba_factory() -> "KernelBackend | None":
-    from .numba_backend import make_numba_backend
-
-    return make_numba_backend()
-
-
 register_backend("numpy", _numpy_factory)
-register_backend("numba", _numba_factory)

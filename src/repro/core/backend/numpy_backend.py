@@ -1,16 +1,30 @@
-"""The default NumPy backend: one vectorised program per kernel primitive.
+"""The NumPy backend: one vectorised program per kernel primitive.
 
-Every program's ``decide(state_index, times)`` performs, for the whole batch
-at once, the exact floating-point operation sequence the scalar manager
-performs per cycle — same operands, same order — so outcomes are
+A program is compiled from one or more specs sharing an op and a table
+shape (one spec for a solo run, a fleet bucket's specs otherwise); every
+table is stacked along a trailing *member* axis.  ``decide(state_index,
+times, members)`` answers one lockstep invocation for every deciding lane:
+``members`` is a scalar member index when one member owns every lane (a
+solo run passes ``0``, so tables broadcast instead of being gathered) or
+one index per lane.
+
+Every operation is element-wise per lane with that lane's member's own
+operands, in the scalar manager's operation order, so each lane performs
+the exact floating-point sequence of the scalar
+:meth:`~repro.core.manager.QualityManager.decide` — outcomes are
 bit-identical to the scalar loop by construction.  Stateful primitives
-(``skip``/``feedback``) keep per-cycle state vectors and re-initialise them
+(``skip``/``feedback``) keep per-lane state vectors and re-initialise them
 when a batch starts deciding at state 0 (their specs always answer
-``steps=1``, so every cycle of the batch decides at every state and the
-batch width is constant).
+``steps=1``, so every lane decides at every state and the batch width is
+constant).
+
+Results may be scalars wherever a value is the same for every lane; callers
+broadcast them against ``times``.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -19,84 +33,130 @@ from repro.core.kernelspec import KernelSpec
 __all__ = ["NumpyKernelBackend", "choose_rows"]
 
 
+def _stack(
+    specs: Sequence[KernelSpec], name: str, dtype=None, per_step: bool = False
+) -> np.ndarray:
+    """One table across members, the member axis last: ``(*shape, n_members)``.
+
+    A ``per_step`` table is a tuple with one array per relaxation step; the
+    step axis goes in front of each array's last axis, so ``(states,
+    levels)`` bounds become ``(states, steps, levels, members)``.
+    """
+    tables = [
+        np.stack(spec.tables[name], axis=-2) if per_step else spec.tables[name]
+        for spec in specs
+    ]
+    return np.stack([np.asarray(table, dtype=dtype) for table in tables], axis=-1)
+
+
+def _lanes(table: np.ndarray, members: int | np.ndarray) -> np.ndarray:
+    """``table[..., members]`` with a trailing lane axis: ``(..., 1)`` or ``(..., n)``."""
+    return table.take(members, axis=-1).reshape(table.shape[:-1] + (-1,))
+
+
+def _gather(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """Per-lane ``table[..., row, member]``; ``cells`` is ``row * n_members + member``."""
+    return table.reshape(table.shape[:-2] + (-1,)).take(cells, axis=-1)
+
+
 def choose_rows(
-    boundaries: np.ndarray, n_levels: int, state_index: int, times: np.ndarray
+    boundaries: np.ndarray,
+    n_levels: int,
+    state_index: int,
+    times: np.ndarray,
+    members: int | np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quality rows by interval lookup: ``max { q | t^D(s_i, q) >= t }``.
 
-    ``boundaries[state_index]`` is ascending, so the eligible levels form a
-    suffix; ``searchsorted`` finds its first entry ``>= t`` and the count of
-    eligible levels follows.  Returns ``(rows, late)`` where late cycles
-    (no eligible level) fall back to row 0 — the minimal quality, exactly
+    ``boundaries`` is ``(states, levels, members)`` and ascending along the
+    level axis, so the eligible levels form a suffix whose first entry
+    follows the count of boundaries strictly below ``t`` — an exact float
+    comparison per lane, counted across the level axis.  Returns ``(rows,
+    late)`` where late lanes (no eligible level) fall back to row 0 — the
+    minimal quality, exactly
     :meth:`~repro.core.tdtable.TDTable.choose_quality`'s best-effort rule.
     """
-    first = np.searchsorted(boundaries[state_index], times, side="left")
-    counts = n_levels - first
-    late = counts == 0
-    rows = np.where(late, 0, counts - 1)
+    first = (_lanes(boundaries[state_index], members) < times).sum(axis=0)
+    late = first == n_levels
+    rows = np.maximum((n_levels - 1) - first, 0)
     return rows, late
+
+
+def _max_contained_step(
+    steps: np.ndarray, contained: np.ndarray, late: np.ndarray
+) -> np.ndarray:
+    """The largest step whose region contains each lane, else 1.
+
+    ``contained`` is ``(steps, lanes)``.  Steps are ascending positive
+    integers, so the maximum equals the scalar scan's last hit
+    (:meth:`~repro.core.relaxation.RelaxationTable.max_relaxation`); late
+    lanes never relax.
+    """
+    best = np.where(contained, steps, 1).max(axis=0)
+    best[late] = 1
+    return best
 
 
 class _ConstantProgram:
     """``constant``: fixed row; one consultation per action or per cycle."""
 
-    def __init__(self, spec: KernelSpec) -> None:
-        tables = spec.tables
-        self._row = int(tables["row"])
-        self._consult = bool(tables["consult"])
-        self._horizon = tables["horizon"]
+    def __init__(self, specs: Sequence[KernelSpec]) -> None:
+        self._rows = _stack(specs, "row", np.intp)
+        self._consult = _stack(specs, "consult", bool)
+        self._consult_all = bool(self._consult.all())
+        # a falsy horizon (None or 0) means "never consult again"
+        self._horizon = np.array(
+            [int(spec.tables["horizon"] or 0) for spec in specs], dtype=np.int64
+        )
 
-    def decide(self, state_index: int, times: np.ndarray):
-        count = times.shape[0]
-        rows = np.full(count, self._row, dtype=np.intp)
-        if self._consult:
-            steps = np.ones(count, dtype=np.int64)
-        else:
-            remaining = (self._horizon - state_index) if self._horizon else 10**9
-            steps = np.full(count, max(1, remaining), dtype=np.int64)
+    def decide(self, state_index: int, times: np.ndarray, members):
+        rows = self._rows[members]
+        if self._consult_all:
+            return rows, 1, None
+        horizon = self._horizon[members]
+        remaining = np.where(horizon != 0, horizon - state_index, 10**9)
+        steps = np.where(self._consult[members], 1, np.maximum(1, remaining))
         return rows, steps, None
 
 
 class _LookupProgram:
-    """``lookup``: one searchsorted interval lookup per invocation."""
+    """``lookup``: one interval lookup per invocation."""
 
-    def __init__(self, spec: KernelSpec) -> None:
-        self._boundaries = spec.tables["boundaries"]
-        self._n_levels = int(spec.n_levels)
+    def __init__(self, specs: Sequence[KernelSpec]) -> None:
+        self._boundaries = _stack(specs, "boundaries")
+        self._n_levels = int(specs[0].n_levels)
 
-    def decide(self, state_index: int, times: np.ndarray):
-        rows, late = choose_rows(self._boundaries, self._n_levels, state_index, times)
-        steps = np.ones(times.shape[0], dtype=np.int64)
-        return rows, steps, late
+    def decide(self, state_index: int, times: np.ndarray, members):
+        rows, late = choose_rows(
+            self._boundaries, self._n_levels, state_index, times, members
+        )
+        return rows, 1, late
 
 
 class _RelaxationProgram:
     """``relaxation``: interval lookup + stored ``R^r_q`` bound comparisons.
 
-    ``lower``/``upper`` hold one ``(n_states, n_levels)`` array per step of
-    ``steps`` (ascending); the scan keeps the largest containing region,
-    exactly :meth:`~repro.core.relaxation.RelaxationTable.max_relaxation`.
+    ``lower``/``upper`` stack to ``(states, steps, levels, members)``, so one
+    gather fetches every step's bounds for every lane.
     """
 
-    def __init__(self, spec: KernelSpec) -> None:
-        tables = spec.tables
-        self._boundaries = tables["boundaries"]
-        self._n_levels = int(spec.n_levels)
-        self._steps = tuple(int(r) for r in tables["steps"])
-        self._lower = tuple(tables["lower"])
-        self._upper = tuple(tables["upper"])
+    def __init__(self, specs: Sequence[KernelSpec]) -> None:
+        self._boundaries = _stack(specs, "boundaries")
+        self._n_levels = int(specs[0].n_levels)
+        self._n_members = len(specs)
+        self._steps = _stack(specs, "steps")
+        self._lower = _stack(specs, "lower", per_step=True)
+        self._upper = _stack(specs, "upper", per_step=True)
 
-    def decide(self, state_index: int, times: np.ndarray):
-        rows, late = choose_rows(self._boundaries, self._n_levels, state_index, times)
-        steps = np.ones(times.shape[0], dtype=np.int64)
-        live = ~late
-        for r, lower, upper in zip(self._steps, self._lower, self._upper):
-            if r <= 1:
-                continue  # the scalar scan never improves on the initial best of 1
-            low = lower[state_index][rows]
-            high = upper[state_index][rows]
-            contained = live & (low < times) & (times <= high)
-            steps[contained] = r
+    def decide(self, state_index: int, times: np.ndarray, members):
+        rows, late = choose_rows(
+            self._boundaries, self._n_levels, state_index, times, members
+        )
+        cells = rows * self._n_members + members
+        low = _gather(self._lower[state_index], cells)
+        high = _gather(self._upper[state_index], cells)
+        contained = (low < times) & (times <= high)
+        steps = _max_contained_step(_lanes(self._steps, members), contained, late)
         return rows, steps, late
 
 
@@ -106,73 +166,74 @@ class _AffineProgram:
     Mirrors :meth:`~repro.extensions.linear_approx.LinearRelaxationTable.bounds`:
     ``upper = u_slope * i + u_intercept``; a non-finite lower intercept means
     the lower bound is ``-inf``; states past ``valid_until[r]`` have an empty
-    region and are skipped.
+    region.  Coefficients stack to ``(steps, levels, members)``.
     """
 
-    def __init__(self, spec: KernelSpec) -> None:
-        tables = spec.tables
-        self._boundaries = tables["boundaries"]
-        self._n_levels = int(spec.n_levels)
-        self._steps = tuple(int(r) for r in tables["steps"])
-        self._u_slope = tables["u_slope"]
-        self._u_intercept = tables["u_intercept"]
-        self._l_slope = tables["l_slope"]
-        self._l_intercept = tables["l_intercept"]
-        self._valid_until = tables["valid_until"]
+    def __init__(self, specs: Sequence[KernelSpec]) -> None:
+        self._boundaries = _stack(specs, "boundaries")
+        self._n_levels = int(specs[0].n_levels)
+        self._n_members = len(specs)
+        self._steps = _stack(specs, "steps")
+        self._valid_until = _stack(specs, "valid_until")
+        self._u_slope = _stack(specs, "u_slope", per_step=True)
+        self._u_intercept = _stack(specs, "u_intercept", per_step=True)
+        self._l_slope = _stack(specs, "l_slope", per_step=True)
+        self._l_intercept = _stack(specs, "l_intercept", per_step=True)
 
-    def decide(self, state_index: int, times: np.ndarray):
-        rows, late = choose_rows(self._boundaries, self._n_levels, state_index, times)
-        steps = np.ones(times.shape[0], dtype=np.int64)
-        live = ~late
-        for index, r in enumerate(self._steps):
-            if r <= 1:
-                continue
-            if state_index > self._valid_until[index]:
-                continue  # fewer than r actions remain: the region is empty
-            upper = self._u_slope[index][rows] * state_index + self._u_intercept[index][rows]
-            l_intercept = self._l_intercept[index][rows]
-            low_raw = self._l_slope[index][rows] * state_index + l_intercept
-            low = np.where(np.isfinite(l_intercept), low_raw, -np.inf)
-            contained = live & (low < times) & (times <= upper)
-            steps[contained] = r
+    def decide(self, state_index: int, times: np.ndarray, members):
+        rows, late = choose_rows(
+            self._boundaries, self._n_levels, state_index, times, members
+        )
+        cells = rows * self._n_members + members
+        upper = (
+            _gather(self._u_slope, cells) * state_index
+            + _gather(self._u_intercept, cells)
+        )
+        l_intercept = _gather(self._l_intercept, cells)
+        low_raw = _gather(self._l_slope, cells) * state_index + l_intercept
+        low = np.where(np.isfinite(l_intercept), low_raw, -np.inf)
+        valid = state_index <= _lanes(self._valid_until, members)
+        contained = valid & (low < times) & (times <= upper)
+        steps = _max_contained_step(_lanes(self._steps, members), contained, late)
         return rows, steps, late
 
 
 class _SkipProgram:
-    """``skip``: per-cycle countdown + average-time deadline projections.
+    """``skip``: per-lane countdown + average-time deadline projections.
 
-    The countdown vector re-initialises at state 0 (the scalar manager's
-    ``reset()`` per cycle); every invocation covers one action, so the batch
-    always decides in lockstep and the vector stays aligned with the batch.
+    A ``j < counts`` mask reproduces each member's own projection-loop
+    length; the countdown vector re-initialises at state 0 (the scalar
+    manager's ``reset()`` per cycle).
     """
 
-    def __init__(self, spec: KernelSpec) -> None:
-        tables = spec.tables
-        self._nominal_row = int(tables["nominal_row"])
-        self._window = int(tables["window"])
-        self._costs = tables["costs"]
-        self._deadlines = tables["deadlines"]
-        self._counts = tables["counts"]
+    def __init__(self, specs: Sequence[KernelSpec]) -> None:
+        self._nominal_row = _stack(specs, "nominal_row", np.intp)
+        self._window = _stack(specs, "window", np.int64)
+        self._costs = _stack(specs, "costs")
+        self._deadlines = _stack(specs, "deadlines")
+        self._counts = _stack(specs, "counts")
+        self._max_counts = self._counts.max(axis=-1)
         self._skip_remaining: np.ndarray | None = None
 
-    def decide(self, state_index: int, times: np.ndarray):
+    def decide(self, state_index: int, times: np.ndarray, members):
         count = times.shape[0]
         if state_index == 0 or self._skip_remaining is None:
             self._skip_remaining = np.zeros(count, dtype=np.int64)
         late = np.zeros(count, dtype=bool)
-        for j in range(int(self._counts[state_index])):
-            late |= (times + self._costs[state_index, j]) > self._deadlines[
-                state_index, j
-            ]
+        counts = self._counts[state_index, members]
+        for j in range(int(self._max_counts[state_index])):
+            projected = (
+                times + self._costs[state_index, j, members]
+            ) > self._deadlines[state_index, j, members]
+            late |= (j < counts) & projected
         counting = self._skip_remaining > 0
-        rows = np.where(counting | late, 0, self._nominal_row).astype(np.intp)
+        rows = np.where(counting | late, 0, self._nominal_row[members])
         self._skip_remaining = np.where(
             counting,
             self._skip_remaining - 1,
-            np.where(late, self._window - 1, 0),
+            np.where(late, self._window[members] - 1, 0),
         )
-        steps = np.ones(count, dtype=np.int64)
-        return rows, steps, None
+        return rows, 1, None
 
 
 class _FeedbackProgram:
@@ -184,36 +245,47 @@ class _FeedbackProgram:
     on float64.
     """
 
-    def __init__(self, spec: KernelSpec) -> None:
-        tables = spec.tables
-        self._expected = tables["expected"]
-        self._step_scale = float(tables["step_scale"])
-        self._kp = float(tables["kp"])
-        self._ki = float(tables["ki"])
-        self._kd = float(tables["kd"])
-        self._reference = float(tables["reference"])
-        self._minimum = int(tables["minimum"])
-        self._maximum = int(tables["maximum"])
+    def __init__(self, specs: Sequence[KernelSpec]) -> None:
+        self._expected = _stack(specs, "expected")
+        step_scale = _stack(specs, "step_scale", np.float64)
+        # members without a positive scale have a zero error term
+        self._scaled = step_scale > 0
+        self._divisor = np.where(self._scaled, step_scale, 1.0)
+        self._kp = _stack(specs, "kp", np.float64)
+        self._ki = _stack(specs, "ki", np.float64)
+        self._kd = _stack(specs, "kd", np.float64)
+        self._reference = _stack(specs, "reference", np.float64)
+        self._minimum = _stack(specs, "minimum", np.int64)
+        self._maximum = _stack(specs, "maximum", np.int64)
         self._integral: np.ndarray | None = None
         self._previous: np.ndarray | None = None
 
-    def decide(self, state_index: int, times: np.ndarray):
+    def decide(self, state_index: int, times: np.ndarray, members):
         count = times.shape[0]
         if state_index == 0 or self._integral is None:
             self._integral = np.zeros(count, dtype=np.float64)
             self._previous = np.zeros(count, dtype=np.float64)
-        if self._step_scale > 0:
-            error = (times - self._expected[state_index]) / self._step_scale
-        else:
-            error = np.zeros(count, dtype=np.float64)
+        error = np.where(
+            self._scaled[members],
+            (times - self._expected[state_index, members]) / self._divisor[members],
+            0.0,
+        )
         self._integral += error
         derivative = error - self._previous
         self._previous = error
-        correction = self._kp * error + self._ki * self._integral + self._kd * derivative
-        level = np.clip(np.rint(self._reference - correction), self._minimum, self._maximum)
-        rows = (level.astype(np.int64) - self._minimum).astype(np.intp)
-        steps = np.ones(count, dtype=np.int64)
-        return rows, steps, None
+        correction = (
+            self._kp[members] * error
+            + self._ki[members] * self._integral
+            + self._kd[members] * derivative
+        )
+        minimum = self._minimum[members]
+        level = np.clip(
+            np.rint(self._reference[members] - correction),
+            minimum,
+            self._maximum[members],
+        )
+        rows = (level.astype(np.int64) - minimum).astype(np.intp)
+        return rows, 1, None
 
 
 _PROGRAMS = {
@@ -231,10 +303,14 @@ class NumpyKernelBackend:
 
     name = "numpy"
 
-    def compile(self, spec: KernelSpec):
-        """One program instance per spec (stateful primitives own their state)."""
+    def compile(self, specs: Sequence[KernelSpec]):
+        """One program over ``specs`` (same op and table shape), member-stacked.
+
+        Each call builds a fresh instance: stateful primitives own their
+        per-lane state.
+        """
         try:
-            program = _PROGRAMS[spec.op]
+            program = _PROGRAMS[specs[0].op]
         except KeyError:  # pragma: no cover - specs validate their op
-            raise ValueError(f"numpy backend cannot execute primitive {spec.op!r}")
-        return program(spec)
+            raise ValueError(f"numpy backend cannot execute primitive {specs[0].op!r}")
+        return program(specs)

@@ -13,18 +13,22 @@ The engine works in three parts:
 * **decision kernels** — each manager lowers itself once into a declarative
   :class:`~repro.core.kernelspec.KernelSpec` (pre-computed tables plus one
   primitive op) via :meth:`~repro.core.manager.QualityManager.lower`; a
-  compute backend (:mod:`repro.core.backend` — NumPy by default, numba
-  optionally) compiles the spec into a batch program, and the engine binds
-  overhead charges and invocation accounting around it
-  (:class:`DecisionKernel`).  The engine never branches on manager classes:
-  every registered manager — numeric, the adaptive baselines (skip, elastic,
-  feedback), the symbolic managers and the extensions (dvfs, multitask,
-  linear-approx) — runs through the same spec protocol;
-* **the lockstep executor** — :func:`run_cycles_vectorized` advances every
-  cycle of the batch by exactly one action per iteration, so the per-cycle
-  sequence of floating-point additions (overhead, then one duration per
-  action) is *identical* to the scalar loop and the resulting
-  :class:`~repro.core.system.CycleOutcome` batches are bit-identical;
+  compute backend (:mod:`repro.core.backend`, NumPy by default) compiles
+  one or more specs sharing an op and table shape into one member-stacked
+  program, and :class:`DecisionKernel` binds per-member overhead charges
+  and invocation accounting around it.  The engine never branches on
+  manager classes: every registered manager — numeric, the adaptive
+  baselines (skip, elastic, feedback), the symbolic managers and the
+  extensions (dvfs, multitask, linear-approx) — runs through the same spec
+  protocol;
+* **the lockstep executor** — :func:`run_lockstep_arrays` advances every
+  lane of a scenario tensor by exactly one action per iteration, so the
+  per-lane sequence of floating-point additions (overhead, then one
+  duration per action) is *identical* to the scalar loop.  It is the only
+  loop: a materialised (:func:`run_cycles_vectorized`) or streamed
+  (:mod:`repro.core.streaming`) solo run is a one-member bucket, and a
+  fleet bucket (:mod:`repro.core.fleet`) adds per-lane member indices, level
+  minima and a real-lane mask;
 * **the dispatcher** — :func:`run_cycles_batch` draws scenarios through the
   batched :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` API
   (a columnar :class:`~repro.core.timing.ScenarioBatch` whose tensor the
@@ -47,7 +51,7 @@ not see the individual calls.
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
@@ -102,24 +106,6 @@ def coerce_vectorize_mode(value: object) -> str:
     )
 
 
-@runtime_checkable
-class DecisionKernel(Protocol):
-    """A manager lowered into batch decisions over pre-computed tables.
-
-    ``decide_batch(state_index, times)`` answers, for every cycle currently
-    deciding at ``state_index`` with elapsed time ``times[c]``, the 0-based
-    quality row, the relaxation step count and the overhead charge of that
-    invocation — the vectorised equivalent of one
-    :meth:`~repro.core.manager.QualityManager.decide` call per cycle.
-    """
-
-    def decide_batch(
-        self, state_index: int, times: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(rows, steps, overheads)`` arrays, one entry per time."""
-        ...
-
-
 def overhead_model_vectorizable(model: OverheadModelProtocol | None) -> bool:
     """True when charges can be pre-computed per distinct work record.
 
@@ -142,83 +128,111 @@ def _charge_for(model: OverheadModelProtocol | None, work: ManagerWork) -> float
     return float(model.cost_of(work))  # type: ignore[attr-defined]
 
 
-class _SpecKernel:
-    """A compiled spec bound to overhead charges and invocation accounting.
+class DecisionKernel:
+    """Compiled specs bound to per-member overhead charges and accounting.
 
-    The backend program answers the pure decisions ``(rows, steps, late)``;
-    this wrapper adds what the engine owes the overhead model: the
-    pre-computed charge of each invocation (per-state when the spec carries
-    one work record per state, late-split when the spec has a distinct late
-    record, fixed otherwise) and the exact invocation counts replayed through
-    ``charge_batch`` after the batch.
+    The one binding between a backend program and the lockstep loop: a solo
+    run binds one spec, a fleet bucket its members' specs.  The program
+    answers the pure decisions ``(rows, steps, late)`` per lane; this class
+    adds what the engine owes each member's overhead model — the
+    pre-computed charge of each invocation (per-state when the specs carry
+    one work record per state, late-split when they carry a distinct late
+    record, fixed otherwise), gathered by member, and the exact invocation
+    counts per member over real lanes, replayed through ``charge_batch`` by
+    :meth:`replay_accounting`.
     """
 
     def __init__(
         self,
-        spec: KernelSpec,
-        program: object,
-        overhead_model: OverheadModelProtocol | None,
+        specs: Sequence[KernelSpec],
+        models: Sequence[OverheadModelProtocol | None],
+        backend: str | None = None,
     ) -> None:
-        self._program = program
-        work = spec.work
-        self._per_state = isinstance(work, tuple)
+        self._specs = tuple(specs)
+        self._models = tuple(models)
+        self._program = get_backend(backend).compile(self._specs)
+        self._per_state = isinstance(self._specs[0].work, tuple)
+        pairs = list(zip(self._specs, self._models))
         if self._per_state:
-            self._works: tuple[ManagerWork, ...] = work
-            self._charges = np.array(
-                [_charge_for(overhead_model, record) for record in work],
-                dtype=np.float64,
-            )
-            self._counts = np.zeros(len(work), dtype=np.int64)
+            charges = [[_charge_for(model, w) for w in spec.work] for spec, model in pairs]
         else:
-            self._work: ManagerWork = work
-            self._charge = _charge_for(overhead_model, work)
-            self._invocations = 0
-        self._late_work = spec.late_work
-        self._late_charge = (
-            _charge_for(overhead_model, spec.late_work)
-            if spec.late_work is not None
-            else 0.0
+            charges = [_charge_for(model, spec.work) for spec, model in pairs]
+        self._charges = np.array(charges, dtype=np.float64)
+        self._has_late_work = self._specs[0].late_work is not None
+        self._late_charges = np.array(
+            [
+                _charge_for(model, spec.late_work) if spec.late_work is not None else 0.0
+                for spec, model in pairs
+            ],
+            dtype=np.float64,
         )
-        self._late_invocations = 0
+        # invocations per member (and per state for per-state work)
+        self._counts = np.zeros(self._charges.shape, dtype=np.int64)
+        self._late_counts = np.zeros(len(self._specs), dtype=np.int64)
 
     def reset_accounting(self) -> None:
-        if self._per_state:
-            self._counts[:] = 0
-        else:
-            self._invocations = 0
-        self._late_invocations = 0
+        self._counts[...] = 0
+        self._late_counts[:] = 0
 
-    def accounting(self) -> list[tuple[ManagerWork, int]]:
-        """Invocation count per distinct work record since the last reset."""
-        if self._per_state:
-            return [
-                (record, int(count))
-                for record, count in zip(self._works, self._counts)
-            ]
-        if self._late_work is not None:
-            return [
-                (self._work, self._invocations),
-                (self._late_work, self._late_invocations),
-            ]
-        return [(self._work, self._invocations)]
-
-    def decide_batch(
-        self, state_index: int, times: np.ndarray
+    def decide(
+        self,
+        state_index: int,
+        times: np.ndarray,
+        members: int | np.ndarray = 0,
+        real: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        rows, steps, late = self._program.decide(state_index, times)  # type: ignore[attr-defined]
-        count = times.shape[0]
+        """Per-lane ``(rows, steps, overheads)``, each broadcastable to ``times``.
+
+        ``members`` is one member index owning every lane (``real`` is
+        ``None``: all lanes are real), or one index per lane together with
+        the ``real`` lane mask: padded lanes decide like the others but are
+        never counted.
+        """
+        rows, steps, late = self._program.decide(state_index, times, members)
         if self._per_state:
-            self._counts[state_index] += count
-            overheads = np.full(count, self._charges[state_index], dtype=np.float64)
-        elif self._late_work is not None and late is not None:
-            n_late = int(late.sum())
-            self._late_invocations += n_late
-            self._invocations += count - n_late
-            overheads = np.where(late, self._late_charge, self._charge)
+            counts = self._counts[:, state_index]
+            charges = self._charges[members, state_index]
         else:
-            self._invocations += count
-            overheads = np.full(count, self._charge, dtype=np.float64)
-        return rows, steps, overheads
+            counts = self._counts
+            charges = self._charges[members]
+        split = self._has_late_work and late is not None
+        if real is None:  # one member owns every lane
+            n_late = int(np.count_nonzero(late)) if split else 0
+            counts[members] += times.shape[0] - n_late
+            if n_late:
+                self._late_counts[members] += n_late
+        else:
+            n_members = len(self._specs)
+            invoked = np.bincount(members[real], minlength=n_members)
+            if split:
+                n_late = np.bincount(members[real & late], minlength=n_members)
+                self._late_counts += n_late
+                invoked -= n_late
+            counts += invoked
+        if split:
+            return rows, steps, np.where(late, self._late_charges[members], charges)
+        return rows, steps, charges
+
+    def replay_accounting(self) -> None:
+        """Replay each member's invocation counts through its ``charge_batch``.
+
+        Models exposing the hook see exact call counts per distinct work
+        record; padded lanes were never counted.
+        """
+        for member, (spec, model) in enumerate(zip(self._specs, self._models)):
+            charge_batch = getattr(model, "charge_batch", None)
+            if charge_batch is None:
+                continue
+            if self._per_state:
+                records = zip(spec.work, self._counts[member].tolist())
+            else:
+                records = (
+                    (spec.work, int(self._counts[member])),
+                    (spec.late_work, int(self._late_counts[member])),
+                )
+            for record, count in records:
+                if count:
+                    charge_batch(record, count)
 
 
 def compile_decision_kernel(
@@ -229,9 +243,9 @@ def compile_decision_kernel(
     """Lower a manager into a :class:`DecisionKernel`, or ``None``.
 
     Asks the manager for its declarative spec
-    (:meth:`~repro.core.manager.QualityManager.lower`), compiles it on the
-    selected compute backend (explicit name, else ``$REPRO_BACKEND``, else
-    numpy) and binds overhead charges around the program.  ``None`` means the
+    (:meth:`~repro.core.manager.QualityManager.lower`) and compiles it as a
+    one-member kernel on the selected compute backend (explicit name, else
+    ``$REPRO_BACKEND``, else numpy).  ``None`` means the
     scalar loop must be used: the manager does not lower (no spec, or
     non-monotone tables) or the overhead model's charges cannot be
     pre-computed.  Naming an unknown or unavailable backend raises
@@ -243,8 +257,7 @@ def compile_decision_kernel(
     spec = manager.lower()
     if spec is None:
         return None
-    program = get_backend(backend).compile(spec)
-    return _SpecKernel(spec, program, overhead_model)
+    return DecisionKernel((spec,), (overhead_model,), backend)
 
 
 def supports_vectorized(
@@ -338,14 +351,16 @@ def run_cycles_vectorized(
     if not len(scenarios):
         return ()
     matrices = _scenario_tensor(system, scenarios)
-    qualities, durations, completion, invoked, invocation_overheads = (
-        run_lockstep_arrays(system, manager, kernel, matrices, overhead_model)
+    level_minimum = system.qualities.minimum
+    qualities, completion, invoked, invocation_overheads = run_lockstep_arrays(
+        kernel, matrices, level_minimum
     )
-    n_cycles = matrices.shape[0]
-    n_actions = system.n_actions
-    states = np.arange(n_actions, dtype=np.int64)
+    # each action's duration is the scenario entry at the chosen row
+    rows = qualities - level_minimum
+    durations = np.take_along_axis(matrices, rows[:, None, :], axis=1)[:, 0, :]
+    states = np.arange(system.n_actions, dtype=np.int64)
     outcomes = []
-    for c in range(n_cycles):
+    for c in range(matrices.shape[0]):
         mask = invoked[:, c]
         outcomes.append(
             CycleOutcome(
@@ -360,75 +375,71 @@ def run_cycles_vectorized(
 
 
 def run_lockstep_arrays(
-    system: ParameterizedSystem,
-    manager: QualityManager,
     kernel: DecisionKernel,
     matrices: np.ndarray,
-    overhead_model: OverheadModelProtocol | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    level_minimum: int | np.ndarray,
+    members: int | np.ndarray = 0,
+    real: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The lockstep executor over a raw scenario tensor, outcome-free.
 
-    Advances every cycle of ``matrices`` (shape ``(n_cycles, levels,
-    actions)``) one action per iteration and returns the five outcome arrays
-    — ``qualities``/``durations``/``completion`` of shape ``(n_cycles,
-    n_actions)`` plus ``invoked``/``invocation_overheads`` of shape
-    ``(n_actions, n_cycles)`` — without building per-cycle
-    :class:`~repro.core.system.CycleOutcome` objects.
-    :func:`run_cycles_vectorized` wraps the arrays into outcomes; the
-    streaming driver (:mod:`repro.core.streaming`) folds them into an
-    accumulator chunk by chunk instead.  Overhead-model accounting is
-    replayed through ``charge_batch`` before returning, exactly as the
-    materialised path does.
+    Advances every lane of ``matrices`` (shape ``(n_lanes, levels,
+    actions)``) one action per iteration, so each lane performs the scalar
+    loop's floating-point sequence: overhead added at each invocation, one
+    duration added per action.  A solo run passes ``members=0`` and its
+    quality set's minimum; a fleet bucket passes each lane's member index,
+    its per-lane level minimum and the ``real`` mask of lanes carrying a
+    scenario (padded lanes run but are never counted) — ``real`` is what
+    marks ``members`` as per-lane.
+
+    Returns ``qualities``/``completion`` of shape ``(n_lanes, n_actions)``
+    plus ``invoked``/``invocation_overheads`` of shape ``(n_actions,
+    n_lanes)``, without building per-cycle
+    :class:`~repro.core.system.CycleOutcome` objects:
+    :func:`run_cycles_vectorized` wraps them into outcomes, the streamed
+    path (:mod:`repro.core.streaming`) and the fleet
+    (:mod:`repro.core.fleet`) fold them chunk by chunk.  The kernel's
+    invocation accounting is replayed through ``charge_batch`` before
+    returning.
     """
-    n_cycles = matrices.shape[0]
-    n_actions = system.n_actions
-    level_minimum = system.qualities.minimum
-    manager.reset()
-    reset_accounting = getattr(kernel, "reset_accounting", None)
-    if reset_accounting is not None:
-        reset_accounting()
+    n_lanes, _, n_actions = matrices.shape
+    kernel.reset_accounting()
 
-    qualities = np.empty((n_cycles, n_actions), dtype=np.int64)
-    durations = np.empty((n_cycles, n_actions), dtype=np.float64)
-    completion = np.empty((n_cycles, n_actions), dtype=np.float64)
-    invoked = np.zeros((n_actions, n_cycles), dtype=bool)
-    invocation_overheads = np.zeros((n_actions, n_cycles), dtype=np.float64)
+    qualities = np.empty((n_lanes, n_actions), dtype=np.int64)
+    completion = np.empty((n_lanes, n_actions), dtype=np.float64)
+    invoked = np.zeros((n_actions, n_lanes), dtype=bool)
+    invocation_overheads = np.zeros((n_actions, n_lanes), dtype=np.float64)
 
-    elapsed = np.zeros(n_cycles, dtype=np.float64)
-    remaining = np.zeros(n_cycles, dtype=np.int64)  # actions left in the window
-    rows = np.zeros(n_cycles, dtype=np.intp)
-    cycle_index = np.arange(n_cycles)
+    elapsed = np.zeros(n_lanes, dtype=np.float64)
+    remaining = np.zeros(n_lanes, dtype=np.int64)  # actions left in the window
+    rows = np.zeros(n_lanes, dtype=np.intp)
+    lane_index = np.arange(n_lanes)
 
     for i in range(n_actions):
         deciding = remaining == 0
-        if deciding.any():
-            times = elapsed[deciding]
-            decided_rows, decided_steps, decided_overheads = kernel.decide_batch(
-                i, times
-            )
-            rows[deciding] = decided_rows
-            remaining[deciding] = np.minimum(decided_steps, n_actions - i)
-            elapsed[deciding] = times + decided_overheads
+        n_deciding = np.count_nonzero(deciding)
+        if n_deciding:
+            # when every lane decides (always so for one-step ops) a slice
+            # replaces the boolean mask: same lanes, no gather or scatter
+            lanes = slice(None) if n_deciding == n_lanes else deciding
+            times = elapsed[lanes]
+            if real is None:
+                decided = kernel.decide(i, times, members)
+            else:
+                decided = kernel.decide(i, times, members[lanes], real[lanes])
+            decided_rows, decided_steps, decided_overheads = decided
+            rows[lanes] = decided_rows
+            remaining[lanes] = np.minimum(decided_steps, n_actions - i)
+            elapsed[lanes] = times + decided_overheads
             invoked[i] = deciding
-            invocation_overheads[i, deciding] = decided_overheads
-        step_durations = matrices[cycle_index, rows, i]
-        elapsed += step_durations
-        durations[:, i] = step_durations
+            invocation_overheads[i, lanes] = decided_overheads
+        elapsed += matrices[lane_index, rows, i]
         completion[:, i] = elapsed
         qualities[:, i] = level_minimum + rows
         remaining -= 1
 
-    if overhead_model is not None:
-        # replay the invocation accounting in bulk: models exposing the
-        # charge_batch hook see exact call counts per distinct work record
-        charge_batch = getattr(overhead_model, "charge_batch", None)
-        accounting = getattr(kernel, "accounting", None)
-        if charge_batch is not None and accounting is not None:
-            for work, count in accounting():
-                if count:
-                    charge_batch(work, count)
-
-    return qualities, durations, completion, invoked, invocation_overheads
+    kernel.replay_accounting()
+    return qualities, completion, invoked, invocation_overheads
 
 
 def run_cycles_batch(

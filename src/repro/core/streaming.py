@@ -531,8 +531,8 @@ def run_cycles_streamed(
             peak_chunk_bytes = max(peak_chunk_bytes, batch.nbytes())
         if kernel is not None:
             matrices = _scenario_tensor(system, batch)
-            qualities, _, completion, invoked, overheads = run_lockstep_arrays(
-                system, manager, kernel, matrices, overhead_model
+            qualities, completion, invoked, overheads = run_lockstep_arrays(
+                kernel, matrices, system.qualities.minimum
             )
             accumulator.update_chunk(qualities, completion, invoked, overheads)
         else:

@@ -149,7 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--backend",
         default=None,
-        help="kernel compute backend, e.g. numpy or numba (default: $REPRO_BACKEND, else numpy)",
+        help="registered kernel compute backend (default: $REPRO_BACKEND, else numpy)",
     )
     parser.add_argument(
         "--scenario-transport",

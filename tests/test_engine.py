@@ -27,12 +27,14 @@ from repro.core import (
     registered_backends,
     run_cycle,
     run_cycles_batch,
+    run_cycles_streamed,
     run_cycles_vectorized,
     run_fixed_quality,
     run_fixed_quality_batch,
     supports_vectorized,
 )
-from repro.core.engine import coerce_vectorize_mode
+from repro.core.engine import DecisionKernel, coerce_vectorize_mode
+from repro.core.fleet import FleetMember, FleetPlan, bucket_key
 from repro.core.regions import QualityRegionTable, RegionQualityManager
 from repro.core.relaxation import RelaxationQualityManager, RelaxationTable
 from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel, NullOverheadModel
@@ -109,15 +111,14 @@ _EXPECTED_OPS = {
 
 
 class TestParityGrid:
-    @pytest.mark.parametrize("backend", [None, "numba"])
+    # None: the resolved default backend ($REPRO_BACKEND, else numpy)
+    @pytest.mark.parametrize("backend", [None])
     @pytest.mark.parametrize("key", available_managers())
     @pytest.mark.parametrize("model_index", range(4))
     def test_every_registered_manager_is_bit_identical(
         self, setup, key, model_index, backend
     ):
         """Vectorised (or fallen-back) outcomes equal the scalar loop exactly."""
-        if backend is not None and not backend_available(backend):
-            pytest.skip(f"backend {backend!r} not installed")
         system, _, context = setup
         model = _overhead_models()[model_index]
         manager = build_manager(key, context)
@@ -210,6 +211,92 @@ class TestParityGrid:
             system, manager, 5, rng=np.random.default_rng(23)
         )
         assert_outcomes_identical(scalar, batch)
+
+
+def _edge_times(spec, state_index: int) -> np.ndarray:
+    """Every table edge of one state, plus both float neighbours of each.
+
+    The ``t^D`` boundaries, and for the relaxation-style ops every step's
+    lower/upper region bound — the points where ``<`` and ``<=`` decide.
+    """
+    tables = spec.tables
+    edges = [tables["boundaries"][state_index]]
+    if spec.op == "relaxation":
+        for lower, upper in zip(tables["lower"], tables["upper"]):
+            edges += [lower[state_index], upper[state_index]]
+    elif spec.op == "affine":
+        for k in range(len(tables["steps"])):
+            edges.append(tables["u_slope"][k] * state_index + tables["u_intercept"][k])
+            edges.append(tables["l_slope"][k] * state_index + tables["l_intercept"][k])
+    values = np.concatenate([np.ravel(edge) for edge in edges])
+    values = values[np.isfinite(values)]
+    return np.unique(
+        np.concatenate(
+            [values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)]
+        )
+    )
+
+
+class TestTableEdges:
+    """The one program set matches ``manager.decide`` on every table edge."""
+
+    EDGE_KEYS = sorted(
+        key for key, op in _EXPECTED_OPS.items() if op in ("lookup", "relaxation", "affine")
+    )
+    # long enough that many edge times fall inside relaxation regions
+    N_ACTIONS = 24
+
+    @classmethod
+    def _managers(cls, key: str, n_members: int):
+        managers = []
+        for seed in range(n_members):
+            system = make_synthetic_system(cls.N_ACTIONS, 4, seed=11 + seed)
+            context = BuildContext.create(system, make_deadline(system))
+            managers.append(build_manager(key, context))
+        return managers
+
+    @staticmethod
+    def _assert_lanes_match(kernel, managers, state_index, times, members, real):
+        rows, steps, _ = kernel.decide(state_index, times, members, real)
+        rows = np.broadcast_to(rows, times.shape)
+        steps = np.broadcast_to(steps, times.shape)
+        lane_members = np.broadcast_to(members, times.shape)
+        for lane, (t, m) in enumerate(zip(times.tolist(), lane_members.tolist())):
+            manager = managers[m]
+            decision = manager.decide(state_index, t)
+            level = manager.qualities.minimum + int(rows[lane])
+            assert (level, int(steps[lane])) == (decision.quality, decision.steps), (
+                f"state {state_index}, member {m}, t={t!r}"
+            )
+
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    def test_one_member_stack(self, key):
+        (manager,) = self._managers(key, 1)
+        kernel = compile_decision_kernel(manager)
+        spec = manager.lower()
+        for state_index in range(self.N_ACTIONS):
+            times = _edge_times(spec, state_index)
+            self._assert_lanes_match(kernel, [manager], state_index, times, 0, None)
+
+    @pytest.mark.parametrize("key", EDGE_KEYS)
+    def test_three_member_stack(self, key):
+        managers = self._managers(key, 3)
+        specs = [manager.lower() for manager in managers]
+        assert len({bucket_key(spec, self.N_ACTIONS) for spec in specs}) == 1
+        assert not all(
+            np.array_equal(specs[0].tables["boundaries"], spec.tables["boundaries"])
+            for spec in specs[1:]
+        ), "the stacked members should carry different tables"
+        kernel = DecisionKernel(specs, [None] * len(specs))
+        shuffle = np.random.default_rng(5)
+        for state_index in range(self.N_ACTIONS):
+            per_member = [_edge_times(spec, state_index) for spec in specs]
+            times = np.concatenate(per_member)
+            members = np.repeat(np.arange(len(specs)), [len(t) for t in per_member])
+            order = shuffle.permutation(len(times))
+            times, members = times[order], members[order]
+            real = np.ones(len(times), dtype=bool)
+            self._assert_lanes_match(kernel, managers, state_index, times, members, real)
 
 
 class TestKernelCompilation:
@@ -385,13 +472,28 @@ class TestKernelCompilation:
         assert vector_model.total_seconds == pytest.approx(scalar_model.total_seconds)
 
 
+@pytest.fixture
+def unavailable_backend():
+    """A registered backend whose factory reports it unavailable."""
+    from repro.core import backend as backends
+
+    backends.register_backend("unavailable", lambda: None)
+    yield "unavailable"
+    backends._FACTORIES.pop("unavailable", None)
+    backends._INSTANCES.pop("unavailable", None)
+
+
 class TestBackends:
-    def test_registry_names_numpy_and_numba(self):
+    def test_registry_lists_registered_and_available_backends(
+        self, unavailable_backend
+    ):
         assert "numpy" in registered_backends()
-        assert "numba" in registered_backends()
+        assert unavailable_backend in registered_backends()
         # numpy ships with the package, so it is always available
         assert "numpy" in available_backends()
         assert backend_available("numpy")
+        assert unavailable_backend not in available_backends()
+        assert not backend_available(unavailable_backend)
 
     def test_default_backend_is_numpy(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
@@ -408,21 +510,42 @@ class TestBackends:
         with pytest.raises(BackendError, match="registered"):
             get_backend("cupy")
 
-    def test_unavailable_backend_raises(self):
-        if backend_available("numba"):
-            pytest.skip("numba is installed here")
+    def test_unavailable_backend_raises(self, unavailable_backend):
         with pytest.raises(BackendError, match="not available"):
-            get_backend("numba")
+            get_backend(unavailable_backend)
 
-    def test_explicit_backend_request_is_not_silently_substituted(self, setup):
-        if backend_available("numba"):
-            pytest.skip("numba is installed here")
-        system, _, context = setup
+    def test_explicit_backend_request_is_not_silently_substituted(
+        self, setup, unavailable_backend
+    ):
+        system, deadlines, context = setup
         manager = build_manager("region", context)
-        with pytest.raises(BackendError):
+        with pytest.raises(BackendError, match="not available"):
             run_cycles_batch(
-                system, manager, 2, rng=np.random.default_rng(0), backend="numba"
+                system,
+                manager,
+                2,
+                rng=np.random.default_rng(0),
+                backend=unavailable_backend,
             )
+        with pytest.raises(BackendError, match="not available"):
+            run_cycles_streamed(
+                system,
+                manager,
+                2,
+                deadlines=deadlines,
+                chunk_size=1,
+                backend=unavailable_backend,
+            )
+        member = FleetMember(
+            label="m",
+            system=system,
+            manager=manager,
+            deadlines=deadlines,
+            cycles=2,
+            backend=unavailable_backend,
+        )
+        with pytest.raises(BackendError, match="not available"):
+            FleetPlan.plan([member])
 
     def test_explicit_numpy_backend_is_bit_identical(self, setup):
         system, _, context = setup

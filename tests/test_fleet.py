@@ -230,9 +230,10 @@ class TestBucketing:
         with pytest.raises(Exception, match="no-such-backend"):
             FleetPlan.plan([member])
 
-    def test_non_numpy_backend_runs_solo_with_that_backend(self):
-        """The stacked programs are NumPy's, so a requested backend is
-        honoured by routing its member to the solo fallback."""
+    def test_non_numpy_backend_buckets_with_that_backend(self):
+        """A requested backend compiles its members' stacked program: the
+        resolved backend name is part of the bucket key, never a reason to
+        run solo."""
         from repro.core import backend as backends
 
         numpy_backend = backends.get_backend("numpy")
@@ -241,20 +242,32 @@ class TestBucketing:
         class CountingBackend:
             name = "counting"
 
-            def compile(self, spec):
-                compiled.append(spec.op)
-                return numpy_backend.compile(spec)
+            def compile(self, specs):
+                compiled.append(len(specs))
+                return numpy_backend.compile(specs)
 
         backends.register_backend("counting", CountingBackend)
         try:
-            member = make_member("region", "m", cycles=13, seed=4, backend="counting")
-            plan = FleetPlan.plan([member])
-            assert plan.fallback == (0,) and plan.buckets == ()
-            (summary,) = run_fleet([member], plan=plan)
-            assert compiled
-            reference = solo_summary(make_member("region", "m", cycles=13, seed=4))
-            assert summary.metrics() == reference.metrics()
-            assert summary.quality_level_counts == reference.quality_level_counts
+            members = [
+                make_member("region", "m", cycles=13, seed=4, backend="counting"),
+                make_member("region", "n", cycles=6, seed=5, backend="counting"),
+                make_member("region", "p", cycles=9, seed=6),
+            ]
+            plan = FleetPlan.plan(members)
+            assert plan.fallback == ()
+            by_backend = {bucket.backend: bucket.indices for bucket in plan.buckets}
+            assert by_backend == {"counting": (0, 1), "numpy": (2,)}
+            summaries = run_fleet(members, plan=plan)
+            # one stacked program for the whole two-member counting bucket
+            assert compiled == [2]
+            for member, summary in zip(members, summaries):
+                reference = solo_summary(
+                    make_member(
+                        "region", member.label, cycles=member.cycles, seed=member.seed
+                    )
+                )
+                assert summary.metrics() == reference.metrics(), member.label
+                assert summary.quality_level_counts == reference.quality_level_counts
         finally:
             backends._FACTORIES.pop("counting", None)
             backends._INSTANCES.pop("counting", None)
@@ -286,6 +299,24 @@ class TestRunFleet:
             assert summary.n_cycles == member.cycles
             expected = solo_summary(member)
             assert summary.metrics() == expected.metrics(), member.label
+
+    def test_constant_consult_modes_share_a_bucket(self):
+        """Per-action and once-per-cycle constant members stack together and
+        each matches the scalar loop."""
+        members = [
+            make_member(key, key.split(":")[-1], seed=i, cycles=7 + i)
+            for i, key in enumerate(
+                ("constant", "constant:consult_every_action=false")
+            )
+        ]
+        plan = FleetPlan.plan(members)
+        assert len(plan.buckets) == 1 and plan.fallback == ()
+        for member, summary in zip(members, run_fleet(members, plan=plan)):
+            scalar = solo_summary(
+                FleetMember(**{**vars(member), "vectorize": "never"})
+            )
+            assert summary.metrics() == scalar.metrics(), member.label
+            assert summary.quality_level_counts == scalar.quality_level_counts
 
     def test_fallback_members_interleaved_with_buckets(self):
         stacked = make_member("relaxation", "a", seed=3)

@@ -31,7 +31,9 @@ from repro.core import (
     check_td_structure,
     compute_td_table,
     run_cycle,
+    run_cycles_batch,
 )
+from repro.core.fleet import FleetMember, run_fleet
 from repro.extensions import LinearRelaxationQualityManager, LinearRelaxationTable
 
 _SETTINGS = settings(
@@ -107,6 +109,38 @@ def admissible_scenarios(draw, system: ParameterizedSystem):
     return ActualTimeScenario(system.qualities, matrix)
 
 
+def assert_vectorised_paths_match_numeric(system, deadlines, controllers, scenario):
+    """Safety and equivalence on the vectorised and fleet paths.
+
+    ``run_cycles_batch`` must choose the numeric manager's quality rows and
+    pass the trace audit; ``run_fleet`` over numeric, region and relaxation
+    (scenario shipped by value) must reproduce numeric's quality histogram
+    with no deadline miss.
+    """
+    reference = run_cycle(system, controllers.numeric, scenario=scenario)
+    levels, counts = np.unique(reference.qualities, return_counts=True)
+    histogram = dict(zip(levels.tolist(), counts.tolist()))
+    managers = (controllers.numeric, controllers.region, controllers.relaxation)
+    for manager in managers:
+        (outcome,) = run_cycles_batch(system, manager, scenarios=[scenario])
+        assert np.array_equal(outcome.qualities, reference.qualities), manager.name
+        assert audit_trace(outcome, deadlines).is_safe, manager.name
+    members = [
+        FleetMember(
+            label=manager.name,
+            system=system,
+            manager=manager,
+            deadlines=deadlines,
+            cycles=1,
+            scenarios=[scenario],
+        )
+        for manager in managers
+    ]
+    for member, summary in zip(members, run_fleet(members)):
+        assert summary.quality_level_counts == histogram, member.label
+        assert summary.metrics().deadline_misses == 0, member.label
+
+
 # --------------------------------------------------------------------------- #
 # properties
 # --------------------------------------------------------------------------- #
@@ -122,6 +156,7 @@ class TestSafetyProperty:
         for manager in controllers.managers().values():
             outcome = run_cycle(system, manager, scenario=scenario)
             assert audit_trace(outcome, deadlines).is_safe
+        assert_vectorised_paths_match_numeric(system, deadlines, controllers, scenario)
 
     @_SETTINGS
     @given(data=st.data())
@@ -150,6 +185,7 @@ class TestEquivalenceProperty:
         for manager in (controllers.region, controllers.relaxation):
             outcome = run_cycle(system, manager, scenario=scenario)
             assert np.array_equal(outcome.qualities, reference.qualities)
+        assert_vectorised_paths_match_numeric(system, deadlines, controllers, scenario)
 
     @_SETTINGS
     @given(data=st.data())

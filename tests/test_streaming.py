@@ -23,7 +23,6 @@ from repro.core import (
     QuantileSketch,
     ScenarioBatch,
     StreamingMetrics,
-    backend_available,
     run_cycles_batch,
     run_cycles_streamed,
 )
@@ -38,15 +37,8 @@ ALL_KEYS = sorted(available_managers())
 N_CYCLES = 10
 CHUNK_SIZES = (1, 7, 64, N_CYCLES, N_CYCLES + 1)
 
-BACKENDS = [
-    None,
-    pytest.param(
-        "numba",
-        marks=pytest.mark.skipif(
-            not backend_available("numba"), reason="numba not installed"
-        ),
-    ),
-]
+# None: the resolved default backend ($REPRO_BACKEND, else numpy)
+BACKENDS = [None]
 
 
 @pytest.fixture(scope="module")
