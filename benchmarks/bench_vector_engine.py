@@ -12,6 +12,10 @@ batches of the encoder system (1,189 actions, 7 quality levels):
 * the batch outcomes are bit-identical to the scalar loop — the speedup is
   pure interpreter-overhead removal, not a semantics change.
 
+Every path is timed as the median of :data:`_REPEATS` runs, each preceded
+by a full ``gc.collect()`` so that a collection cannot land inside one
+manager's timed region.
+
 The measurements are additionally written to ``BENCH_engine.json`` (cycles
 per second for each path, speedups, backend, environment info) so the
 performance trajectory is machine-readable across commits; CI uploads the
@@ -21,11 +25,14 @@ path, ``$REPRO_BACKEND`` to measure an alternative kernel backend.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import platform
 import sys
+import statistics
 import time
+from typing import Any, Callable
 
 import numpy as np
 import pytest
@@ -44,6 +51,8 @@ from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 _N_CYCLES = 256
 _N_CYCLES_GRID = 64
 _MIN_SPEEDUP = 5.0
+#: timed runs per path; the median is reported
+_REPEATS = 5
 #: scalar baselines below this are timer noise — the ratio would be meaningless
 _MIN_MEASURABLE_SCALAR_S = 0.050
 
@@ -73,20 +82,33 @@ def _write_report(payload: dict) -> None:
         handle.write("\n")
 
 
+def _timed(run: Callable[[], Any]) -> tuple[float, Any]:
+    """The median wall time of :data:`_REPEATS` calls, and the last result.
+
+    A full collection runs before each timed call, outside its region.
+    """
+    seconds = []
+    for _ in range(_REPEATS):
+        gc.collect()
+        started = time.perf_counter()
+        result = run()
+        seconds.append(time.perf_counter() - started)
+    return statistics.median(seconds), result
+
+
 def _measure(system, manager, scenarios, overhead_model) -> dict[str, float]:
     manager.reset()
-    started = time.perf_counter()
-    scalar = [
-        run_cycle(system, manager, scenario=s, overhead_model=overhead_model)
-        for s in scenarios
-    ]
-    scalar_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    vectorized = run_cycles_vectorized(
-        system, manager, scenarios, overhead_model=overhead_model
+    scalar_s, scalar = _timed(
+        lambda: [
+            run_cycle(system, manager, scenario=s, overhead_model=overhead_model)
+            for s in scenarios
+        ]
     )
-    vector_s = time.perf_counter() - started
+    vector_s, vectorized = _timed(
+        lambda: run_cycles_vectorized(
+            system, manager, scenarios, overhead_model=overhead_model
+        )
+    )
 
     assert _outcomes_identical(scalar, vectorized), (
         f"{manager.name}: vectorised outcomes differ from the scalar loop"
@@ -134,12 +156,12 @@ def bench_vector_engine_speedup(paper_system, paper_deadlines, paper_controllers
         )
 
     # fixed-quality baseline batch (the read-only fast path + one cumsum)
-    started = time.perf_counter()
-    fixed_scalar = [run_fixed_quality(paper_system, 3, scenario=s) for s in scenarios]
-    fixed_scalar_s = time.perf_counter() - started
-    started = time.perf_counter()
-    fixed_batch = run_fixed_quality_batch(paper_system, 3, scenarios)
-    fixed_batch_s = time.perf_counter() - started
+    fixed_scalar_s, fixed_scalar = _timed(
+        lambda: [run_fixed_quality(paper_system, 3, scenario=s) for s in scenarios]
+    )
+    fixed_batch_s, fixed_batch = _timed(
+        lambda: run_fixed_quality_batch(paper_system, 3, scenarios)
+    )
     assert _outcomes_identical(fixed_scalar, fixed_batch)
     measurements["fixed-quality"] = {
         "scalar_seconds": fixed_scalar_s,
@@ -160,6 +182,7 @@ def bench_vector_engine_speedup(paper_system, paper_deadlines, paper_controllers
             "backend": backend.name,
             "gate_manager": "relaxation",
             "min_speedup_gate": _MIN_SPEEDUP,
+            "timing": f"median of {_REPEATS} runs, gc.collect() before each",
             "scalar_fallbacks": scalar_fallbacks,
             "managers": measurements,
             "env": {

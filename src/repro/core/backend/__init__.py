@@ -7,11 +7,12 @@ one executable program whose ``decide(state_index, times, members)``
 returns ``(rows, steps, late)`` for one lockstep invocation: ``members`` is
 the scalar index of the member owning every lane (``0`` for a solo run) or
 one member index per lane, and ``late`` is ``None`` for ops without a late
-path.  The engine (:mod:`repro.core.engine`) binds overhead charges and
+path.  A program's ``one_step`` attribute declares that every answer is one
+step, which lets the lockstep loop skip its relaxation-window bookkeeping.
+The engine (:mod:`repro.core.engine`) binds overhead charges and
 accounting around the program, so backends only implement the primitive
-math — and because every primitive performs the exact floating-point
-operation sequence of the scalar managers, outcomes stay bit-identical to
-the scalar loop.
+math — and because every primitive answers exactly what the scalar
+managers decide, outcomes stay bit-identical to the scalar loop.
 
 One backend ships: ``numpy`` (the default), pure NumPy programs for all six
 primitives.  The registry is the extension seam: :func:`register_backend`
@@ -60,6 +61,9 @@ class BackendError(ValueError):
 class KernelProgram(Protocol):
     """An executable lowering of member-stacked specs: decisions, no accounting."""
 
+    #: every answer is one step (the loop decides on every lane at every action)
+    one_step: bool
+
     def decide(
         self, state_index: int, times: np.ndarray, members: int | np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -67,8 +71,9 @@ class KernelProgram(Protocol):
 
         ``members`` is one member index for every lane, or one per lane.
         ``late`` flags the lanes on the spec's late path (``None`` when the
-        op has no late/normal distinction).  Any result may be a scalar
-        that broadcasts against ``times``.
+        op has no late/normal distinction, or the specs charge no distinct
+        late work).  Any result may be a scalar that broadcasts against
+        ``times``.
         """
         ...
 

@@ -2,24 +2,33 @@
 
 A program is compiled from one or more specs sharing an op and a table
 shape (one spec for a solo run, a fleet bucket's specs otherwise); every
-table is stacked along a trailing *member* axis.  ``decide(state_index,
-times, members)`` answers one lockstep invocation for every deciding lane:
+table is stacked along a *member* axis.  ``decide(state_index, times,
+members)`` answers one lockstep invocation for every deciding lane:
 ``members`` is a scalar member index when one member owns every lane (a
-solo run passes ``0``, so tables broadcast instead of being gathered) or
-one index per lane.
+solo run passes ``0``, so tables are indexed once instead of gathered) or
+one index per lane.  A one-member program views its spec's arrays and
+copies nothing.
 
-Every operation is element-wise per lane with that lane's member's own
-operands, in the scalar manager's operation order, so each lane performs
-the exact floating-point sequence of the scalar
-:meth:`~repro.core.manager.QualityManager.decide` — outcomes are
-bit-identical to the scalar loop by construction.  Stateful primitives
-(``skip``/``feedback``) keep per-lane state vectors and re-initialise them
-when a batch starts deciding at state 0 (their specs always answer
-``steps=1``, so every lane decides at every state and the batch width is
-constant).
+``lookup`` and ``relaxation`` share one interval program: per-state sorted
+breakpoints plus one ``(row, steps, late)`` answer per interval between
+them (:func:`~repro.core.kernelspec.relaxation_intervals`; a lookup's
+boundaries are its breakpoints and its answers are state-independent).  A
+decision counts the lane's breakpoints strictly below ``t`` — one
+``searchsorted`` for a scalar member, a ``<`` count over the lane's member
+row otherwise — and takes each answer at that count.  The other programs
+perform every operation element-wise per lane with that lane's member's
+own operands, in the scalar manager's operation order.  Either way each
+lane gets exactly the scalar
+:meth:`~repro.core.manager.QualityManager.decide` answer, so outcomes are
+bit-identical to the scalar loop.  Stateful primitives (``skip``/
+``feedback``) keep per-lane state vectors and re-initialise them when a
+batch starts deciding at state 0.
 
-Results may be scalars wherever a value is the same for every lane; callers
-broadcast them against ``times``.
+Programs declare ``one_step`` when every answer is one step (``lookup``,
+``skip``, ``feedback``, and ``constant`` consulted at every action): the
+lockstep loop then lets every lane decide at every action with no window
+bookkeeping.  Results may be scalars wherever a value is the same for every
+lane; callers broadcast them against ``times``.
 """
 
 from __future__ import annotations
@@ -28,9 +37,9 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.core.kernelspec import KernelSpec
+from repro.core.kernelspec import KernelSpec, lookup_answers, quality_answers
 
-__all__ = ["NumpyKernelBackend", "choose_rows"]
+__all__ = ["NumpyKernelBackend"]
 
 
 def _stack(
@@ -59,42 +68,14 @@ def _gather(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return table.reshape(table.shape[:-2] + (-1,)).take(cells, axis=-1)
 
 
-def choose_rows(
-    boundaries: np.ndarray,
-    n_levels: int,
-    state_index: int,
-    times: np.ndarray,
-    members: int | np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Quality rows by interval lookup: ``max { q | t^D(s_i, q) >= t }``.
+def _stack_states(specs: Sequence[KernelSpec], name: str) -> np.ndarray:
+    """A ``(states, ...)`` table across members: ``(states, n_members, ...)``.
 
-    ``boundaries`` is ``(states, levels, members)`` and ascending along the
-    level axis, so the eligible levels form a suffix whose first entry
-    follows the count of boundaries strictly below ``t`` — an exact float
-    comparison per lane, counted across the level axis.  Returns ``(rows,
-    late)`` where late lanes (no eligible level) fall back to row 0 — the
-    minimal quality, exactly
-    :meth:`~repro.core.tdtable.TDTable.choose_quality`'s best-effort rule.
+    One member's table is viewed, never copied.
     """
-    first = (_lanes(boundaries[state_index], members) < times).sum(axis=0)
-    late = first == n_levels
-    rows = np.maximum((n_levels - 1) - first, 0)
-    return rows, late
-
-
-def _max_contained_step(
-    steps: np.ndarray, contained: np.ndarray, late: np.ndarray
-) -> np.ndarray:
-    """The largest step whose region contains each lane, else 1.
-
-    ``contained`` is ``(steps, lanes)``.  Steps are ascending positive
-    integers, so the maximum equals the scalar scan's last hit
-    (:meth:`~repro.core.relaxation.RelaxationTable.max_relaxation`); late
-    lanes never relax.
-    """
-    best = np.where(contained, steps, 1).max(axis=0)
-    best[late] = 1
-    return best
+    if len(specs) == 1:
+        return specs[0].tables[name][:, None]
+    return np.stack([spec.tables[name] for spec in specs], axis=1)
 
 
 class _ConstantProgram:
@@ -104,6 +85,7 @@ class _ConstantProgram:
         self._rows = _stack(specs, "row", np.intp)
         self._consult = _stack(specs, "consult", bool)
         self._consult_all = bool(self._consult.all())
+        self.one_step = self._consult_all
         # a falsy horizon (None or 0) means "never consult again"
         self._horizon = np.array(
             [int(spec.tables["horizon"] or 0) for spec in specs], dtype=np.int64
@@ -119,45 +101,50 @@ class _ConstantProgram:
         return rows, steps, None
 
 
-class _LookupProgram:
-    """``lookup``: one interval lookup per invocation."""
+class _IntervalProgram:
+    """``lookup``/``relaxation``: one breakpoint search, one take per answer.
 
-    def __init__(self, specs: Sequence[KernelSpec]) -> None:
-        self._boundaries = _stack(specs, "boundaries")
-        self._n_levels = int(specs[0].n_levels)
-
-    def decide(self, state_index: int, times: np.ndarray, members):
-        rows, late = choose_rows(
-            self._boundaries, self._n_levels, state_index, times, members
-        )
-        return rows, 1, late
-
-
-class _RelaxationProgram:
-    """``relaxation``: interval lookup + stored ``R^r_q`` bound comparisons.
-
-    ``lower``/``upper`` stack to ``(states, steps, levels, members)``, so one
-    gather fetches every step's bounds for every lane.
+    Breakpoints stack to ``(states, members, K)`` and answers to ``(states,
+    members, K + 1)``; a lookup's answers are one state-independent row,
+    broadcast (not copied) to that shape.  Late flags are answered only when
+    the specs charge a distinct late work record.
     """
 
     def __init__(self, specs: Sequence[KernelSpec]) -> None:
-        self._boundaries = _stack(specs, "boundaries")
-        self._n_levels = int(specs[0].n_levels)
-        self._n_members = len(specs)
-        self._steps = _stack(specs, "steps")
-        self._lower = _stack(specs, "lower", per_step=True)
-        self._upper = _stack(specs, "upper", per_step=True)
+        if specs[0].op == "relaxation":
+            self._breakpoints = _stack_states(specs, "breakpoints")
+            self._rows = _stack_states(specs, "rows")
+            self._steps = _stack_states(specs, "steps")
+            late = _stack_states(specs, "late")
+            self.one_step = False
+        else:
+            self._breakpoints = _stack_states(specs, "boundaries")
+            rows, late = lookup_answers(int(specs[0].n_levels))
+            shape = self._breakpoints.shape[:2] + rows.shape
+            self._rows = np.broadcast_to(rows, shape)
+            late = np.broadcast_to(late, shape)
+            self._steps = None
+            self.one_step = True
+        self._late = late if specs[0].late_work is not None else None
 
     def decide(self, state_index: int, times: np.ndarray, members):
-        rows, late = choose_rows(
-            self._boundaries, self._n_levels, state_index, times, members
-        )
-        cells = rows * self._n_members + members
-        low = _gather(self._lower[state_index], cells)
-        high = _gather(self._upper[state_index], cells)
-        contained = (low < times) & (times <= high)
-        steps = _max_contained_step(_lanes(self._steps, members), contained, late)
-        return rows, steps, late
+        if isinstance(members, np.ndarray):  # one member per lane: count its row
+            counts = (self._breakpoints[state_index, members] < times[:, None]).sum(axis=1)
+            index = (state_index, members, counts)
+
+            def answer(table):
+                return table[index]
+
+        else:  # one member: search its row, take from its answer rows (views)
+            cell = (state_index, members)
+            counts = self._breakpoints[cell].searchsorted(times)
+
+            def answer(table):
+                return table[cell].take(counts)
+
+        steps = 1 if self._steps is None else answer(self._steps)
+        late = None if self._late is None else answer(self._late)
+        return answer(self._rows), steps, late
 
 
 class _AffineProgram:
@@ -168,6 +155,8 @@ class _AffineProgram:
     the lower bound is ``-inf``; states past ``valid_until[r]`` have an empty
     region.  Coefficients stack to ``(steps, levels, members)``.
     """
+
+    one_step = False
 
     def __init__(self, specs: Sequence[KernelSpec]) -> None:
         self._boundaries = _stack(specs, "boundaries")
@@ -181,9 +170,8 @@ class _AffineProgram:
         self._l_intercept = _stack(specs, "l_intercept", per_step=True)
 
     def decide(self, state_index: int, times: np.ndarray, members):
-        rows, late = choose_rows(
-            self._boundaries, self._n_levels, state_index, times, members
-        )
+        first = (_lanes(self._boundaries[state_index], members) < times).sum(axis=0)
+        rows, late = quality_answers(first, self._n_levels)
         cells = rows * self._n_members + members
         upper = (
             _gather(self._u_slope, cells) * state_index
@@ -194,7 +182,9 @@ class _AffineProgram:
         low = np.where(np.isfinite(l_intercept), low_raw, -np.inf)
         valid = state_index <= _lanes(self._valid_until, members)
         contained = valid & (low < times) & (times <= upper)
-        steps = _max_contained_step(_lanes(self._steps, members), contained, late)
+        # the largest containing step (the scalar scan's last hit), else 1
+        steps = np.where(contained, _lanes(self._steps, members), 1).max(axis=0)
+        steps[late] = 1
         return rows, steps, late
 
 
@@ -205,6 +195,8 @@ class _SkipProgram:
     length; the countdown vector re-initialises at state 0 (the scalar
     manager's ``reset()`` per cycle).
     """
+
+    one_step = True
 
     def __init__(self, specs: Sequence[KernelSpec]) -> None:
         self._nominal_row = _stack(specs, "nominal_row", np.intp)
@@ -244,6 +236,8 @@ class _FeedbackProgram:
     ``decide`` exactly, and ``np.rint`` matches Python's banker's rounding
     on float64.
     """
+
+    one_step = True
 
     def __init__(self, specs: Sequence[KernelSpec]) -> None:
         self._expected = _stack(specs, "expected")
@@ -290,8 +284,8 @@ class _FeedbackProgram:
 
 _PROGRAMS = {
     "constant": _ConstantProgram,
-    "lookup": _LookupProgram,
-    "relaxation": _RelaxationProgram,
+    "lookup": _IntervalProgram,
+    "relaxation": _IntervalProgram,
     "affine": _AffineProgram,
     "skip": _SkipProgram,
     "feedback": _FeedbackProgram,

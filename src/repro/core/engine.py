@@ -128,6 +128,26 @@ def _charge_for(model: OverheadModelProtocol | None, work: ManagerWork) -> float
     return float(model.cost_of(work))  # type: ignore[attr-defined]
 
 
+def _member_counts(
+    flags: np.ndarray, members: np.ndarray, real: np.ndarray, n_members: int
+) -> np.ndarray:
+    """``(n_members, n_actions)`` counts of set ``flags`` over each member's real lanes.
+
+    ``flags`` is ``(n_actions, n_lanes)``; lanes are grouped by member (a
+    stable sort of the real lanes) and summed per group in one ``reduceat``.
+    """
+    lanes = np.flatnonzero(real)
+    owners = members[lanes]
+    order = np.argsort(owners, kind="stable")
+    lanes = lanes[order]
+    present, starts = np.unique(owners[order], return_index=True)
+    counts = np.zeros((n_members, flags.shape[0]), dtype=np.int64)
+    if lanes.size:
+        sums = np.add.reduceat(flags[:, lanes], starts, axis=1, dtype=np.int64)
+        counts[present] = sums.T
+    return counts
+
+
 class DecisionKernel:
     """Compiled specs bound to per-member overhead charges and accounting.
 
@@ -137,9 +157,12 @@ class DecisionKernel:
     adds what the engine owes each member's overhead model — the
     pre-computed charge of each invocation (per-state when the specs carry
     one work record per state, late-split when they carry a distinct late
-    record, fixed otherwise), gathered by member, and the exact invocation
-    counts per member over real lanes, replayed through ``charge_batch`` by
-    :meth:`replay_accounting`.
+    record, fixed otherwise), gathered by member — and, after a batch,
+    derives the exact invocation counts per member from the loop's
+    ``invoked``/``late`` records and replays them through ``charge_batch``
+    (:meth:`replay_accounting`).  ``one_step`` is the program's declaration
+    that every answer is one step; ``has_late_work`` says whether the loop
+    must record late flags.
     """
 
     def __init__(
@@ -151,6 +174,7 @@ class DecisionKernel:
         self._specs = tuple(specs)
         self._models = tuple(models)
         self._program = get_backend(backend).compile(self._specs)
+        self.one_step = bool(getattr(self._program, "one_step", False))
         self._per_state = isinstance(self._specs[0].work, tuple)
         pairs = list(zip(self._specs, self._models))
         if self._per_state:
@@ -158,7 +182,7 @@ class DecisionKernel:
         else:
             charges = [_charge_for(model, spec.work) for spec, model in pairs]
         self._charges = np.array(charges, dtype=np.float64)
-        self._has_late_work = self._specs[0].late_work is not None
+        self.has_late_work = self._specs[0].late_work is not None
         self._late_charges = np.array(
             [
                 _charge_for(model, spec.late_work) if spec.late_work is not None else 0.0
@@ -166,70 +190,72 @@ class DecisionKernel:
             ],
             dtype=np.float64,
         )
-        # invocations per member (and per state for per-state work)
-        self._counts = np.zeros(self._charges.shape, dtype=np.int64)
-        self._late_counts = np.zeros(len(self._specs), dtype=np.int64)
-
-    def reset_accounting(self) -> None:
-        self._counts[...] = 0
-        self._late_counts[:] = 0
 
     def decide(
         self,
         state_index: int,
         times: np.ndarray,
         members: int | np.ndarray = 0,
-        real: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-lane ``(rows, steps, overheads)``, each broadcastable to ``times``.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Per-lane ``(rows, steps, overheads, late)``, each broadcastable to ``times``.
 
-        ``members`` is one member index owning every lane (``real`` is
-        ``None``: all lanes are real), or one index per lane together with
-        the ``real`` lane mask: padded lanes decide like the others but are
-        never counted.
+        ``members`` is one member index owning every lane, or one index per
+        lane.  ``late`` flags the lanes charged the late work record, and is
+        ``None`` when the specs carry none (or the op has no late path).
         """
         rows, steps, late = self._program.decide(state_index, times, members)
         if self._per_state:
-            counts = self._counts[:, state_index]
             charges = self._charges[members, state_index]
         else:
-            counts = self._counts
             charges = self._charges[members]
-        split = self._has_late_work and late is not None
-        if real is None:  # one member owns every lane
-            n_late = int(np.count_nonzero(late)) if split else 0
-            counts[members] += times.shape[0] - n_late
-            if n_late:
-                self._late_counts[members] += n_late
-        else:
-            n_members = len(self._specs)
-            invoked = np.bincount(members[real], minlength=n_members)
-            if split:
-                n_late = np.bincount(members[real & late], minlength=n_members)
-                self._late_counts += n_late
-                invoked -= n_late
-            counts += invoked
-        if split:
-            return rows, steps, np.where(late, self._late_charges[members], charges)
-        return rows, steps, charges
+        if self.has_late_work and late is not None:
+            return rows, steps, np.where(late, self._late_charges[members], charges), late
+        return rows, steps, charges, None
 
-    def replay_accounting(self) -> None:
+    def replay_accounting(
+        self,
+        invoked: np.ndarray,
+        late: np.ndarray | None,
+        members: int | np.ndarray = 0,
+        real: np.ndarray | None = None,
+    ) -> None:
         """Replay each member's invocation counts through its ``charge_batch``.
 
-        Models exposing the hook see exact call counts per distinct work
-        record; padded lanes were never counted.
+        ``invoked`` and ``late`` are the lockstep loop's ``(n_actions,
+        n_lanes)`` records (``late`` is set only on invoking lanes, ``None``
+        when no late flags were recorded); ``members``/``real`` are as in
+        :func:`run_lockstep_arrays`, so padded lanes are never counted.
+        Counts per member (and per state for per-state work) come from one
+        vectorised pass; models exposing the hook then see exact call counts
+        per distinct work record — late invocations under the late record,
+        whether the normal work is per-state or fixed.
         """
-        for member, (spec, model) in enumerate(zip(self._specs, self._models)):
-            charge_batch = getattr(model, "charge_batch", None)
+        hooks = [getattr(model, "charge_batch", None) for model in self._models]
+        if not any(hooks):
+            return
+        n_members = len(self._specs)
+        normal = invoked if late is None else invoked & ~late
+        if real is None:  # one member owns every lane
+            counts = np.zeros((n_members, invoked.shape[0]), dtype=np.int64)
+            counts[members] = np.count_nonzero(normal, axis=1)
+            late_counts = np.zeros(n_members, dtype=np.int64)
+            if late is not None:
+                late_counts[members] = np.count_nonzero(late)
+        else:
+            counts = _member_counts(normal, members, real, n_members)
+            late_counts = (
+                _member_counts(late, members, real, n_members).sum(axis=1)
+                if late is not None
+                else np.zeros(n_members, dtype=np.int64)
+            )
+        for member, (spec, charge_batch) in enumerate(zip(self._specs, hooks)):
             if charge_batch is None:
                 continue
             if self._per_state:
-                records = zip(spec.work, self._counts[member].tolist())
+                records = list(zip(spec.work, counts[member].tolist()))
             else:
-                records = (
-                    (spec.work, int(self._counts[member])),
-                    (spec.late_work, int(self._late_counts[member])),
-                )
+                records = [(spec.work, int(counts[member].sum()))]
+            records.append((spec.late_work, int(late_counts[member])))
             for record, count in records:
                 if count:
                     charge_batch(record, count)
@@ -390,7 +416,11 @@ def run_lockstep_arrays(
     quality set's minimum; a fleet bucket passes each lane's member index,
     its per-lane level minimum and the ``real`` mask of lanes carrying a
     scenario (padded lanes run but are never counted) — ``real`` is what
-    marks ``members`` as per-lane.
+    marks ``members`` as per-lane.  A one-step program (see
+    :class:`DecisionKernel`) decides on every lane at every action with no
+    window bookkeeping; otherwise only lanes whose relaxation window ran out
+    decide.  Quality rows are stored raw and offset by the level minimum
+    once, at the end.
 
     Returns ``qualities``/``completion`` of shape ``(n_lanes, n_actions)``
     plus ``invoked``/``invocation_overheads`` of shape ``(n_actions,
@@ -398,47 +428,55 @@ def run_lockstep_arrays(
     :class:`~repro.core.system.CycleOutcome` objects:
     :func:`run_cycles_vectorized` wraps them into outcomes, the streamed
     path (:mod:`repro.core.streaming`) and the fleet
-    (:mod:`repro.core.fleet`) fold them chunk by chunk.  The kernel's
-    invocation accounting is replayed through ``charge_batch`` before
-    returning.
+    (:mod:`repro.core.fleet`) fold them chunk by chunk.  The invocation
+    counts the kernel derives from ``invoked`` and the recorded late flags
+    are replayed through ``charge_batch`` before returning.
     """
     n_lanes, _, n_actions = matrices.shape
-    kernel.reset_accounting()
-
-    qualities = np.empty((n_lanes, n_actions), dtype=np.int64)
+    qualities = np.empty((n_lanes, n_actions), dtype=np.int64)  # rows until the end
     completion = np.empty((n_lanes, n_actions), dtype=np.float64)
-    invoked = np.zeros((n_actions, n_lanes), dtype=bool)
     invocation_overheads = np.zeros((n_actions, n_lanes), dtype=np.float64)
-
+    late = np.zeros((n_actions, n_lanes), dtype=bool) if kernel.has_late_work else None
     elapsed = np.zeros(n_lanes, dtype=np.float64)
-    remaining = np.zeros(n_lanes, dtype=np.int64)  # actions left in the window
-    rows = np.zeros(n_lanes, dtype=np.intp)
     lane_index = np.arange(n_lanes)
 
+    one_step = kernel.one_step
+    if one_step:  # every lane decides at every action
+        invoked = np.ones((n_actions, n_lanes), dtype=bool)
+    else:
+        invoked = np.zeros((n_actions, n_lanes), dtype=bool)
+        due = np.zeros(n_lanes, dtype=np.int64)  # the action of each lane's next decision
+        rows = np.zeros(n_lanes, dtype=np.intp)
+
     for i in range(n_actions):
-        deciding = remaining == 0
-        n_deciding = np.count_nonzero(deciding)
-        if n_deciding:
-            # when every lane decides (always so for one-step ops) a slice
-            # replaces the boolean mask: same lanes, no gather or scatter
-            lanes = slice(None) if n_deciding == n_lanes else deciding
-            times = elapsed[lanes]
-            if real is None:
-                decided = kernel.decide(i, times, members)
-            else:
-                decided = kernel.decide(i, times, members[lanes], real[lanes])
-            decided_rows, decided_steps, decided_overheads = decided
-            rows[lanes] = decided_rows
-            remaining[lanes] = np.minimum(decided_steps, n_actions - i)
-            elapsed[lanes] = times + decided_overheads
-            invoked[i] = deciding
-            invocation_overheads[i, lanes] = decided_overheads
+        if one_step:
+            rows, _, overheads, decided_late = kernel.decide(i, elapsed, members)
+            elapsed += overheads
+            invocation_overheads[i] = overheads
+            if decided_late is not None:
+                late[i] = decided_late
+        else:
+            lanes = np.flatnonzero(due == i)
+            if lanes.size:
+                if lanes.size == n_lanes:  # a slice: same lanes, no gather or scatter
+                    lanes = slice(None)
+                times = elapsed[lanes]
+                lane_members = members if real is None else members[lanes]
+                decided = kernel.decide(i, times, lane_members)
+                decided_rows, decided_steps, overheads, decided_late = decided
+                rows[lanes] = decided_rows
+                due[lanes] = i + decided_steps
+                elapsed[lanes] = times + overheads
+                invoked[i, lanes] = True
+                invocation_overheads[i, lanes] = overheads
+                if decided_late is not None:
+                    late[i, lanes] = decided_late
         elapsed += matrices[lane_index, rows, i]
         completion[:, i] = elapsed
-        qualities[:, i] = level_minimum + rows
-        remaining -= 1
+        qualities[:, i] = rows
 
-    kernel.replay_accounting()
+    qualities += np.reshape(level_minimum, (-1, 1))
+    kernel.replay_accounting(invoked, late, members, real)
     return qualities, completion, invoked, invocation_overheads
 
 

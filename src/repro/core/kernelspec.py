@@ -18,10 +18,15 @@ The primitive ops (:data:`PRIMITIVE_OPS`):
     Searchsorted interval lookup over per-state ascending boundaries — the
     quality regions of Proposition 2.  Covers the region manager and every
     manager whose rule is "last level whose stored time bound is >= t"
-    (numeric, safe-only/average-only, elastic).
+    (numeric, safe-only/average-only, elastic).  The boundaries are the
+    breakpoints and the answer depends only on the interval index
+    (:func:`lookup_answers`), so nothing is built.
 ``relaxation``
-    ``lookup`` plus masked comparisons against stored relaxation-region
-    bounds (Proposition 3) to pick the step count.
+    ``lookup`` plus the relaxation-region bounds (Proposition 3) that pick
+    the step count, compiled at lowering into per-state *interval tables*
+    (:func:`relaxation_intervals`): sorted breakpoints and one
+    ``(row, steps, late)`` answer per interval between them, so a decision
+    is one search plus one take per answer.
 ``affine``
     ``lookup`` plus affine bound evaluation — the linear-approximation
     manager, whose bounds are ``slope * i + intercept`` per (step, level).
@@ -49,6 +54,9 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.obs.metrics import registry as _obs_registry
+from repro.obs.state import enabled as _obs_enabled
+
 from .manager import ManagerWork
 
 __all__ = [
@@ -56,6 +64,9 @@ __all__ = [
     "KernelSpec",
     "ascending_boundaries",
     "interval_spec",
+    "lookup_answers",
+    "quality_answers",
+    "relaxation_intervals",
 ]
 
 #: the closed set of primitive operations a spec may name
@@ -158,3 +169,95 @@ def interval_spec(
         tables={"boundaries": boundaries},
         work=work,
     )
+
+
+def quality_answers(first: np.ndarray, n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(rows, late)`` of the lookup rule, given the count of boundaries below ``t``.
+
+    The eligible levels form a suffix that starts after the ``first``
+    boundaries strictly below ``t``; late times (no eligible level) fall back
+    to row 0 — the minimal quality, exactly
+    :meth:`~repro.core.tdtable.TDTable.choose_quality`'s best-effort rule.
+    """
+    return np.maximum((n_levels - 1) - first, 0), first == n_levels
+
+
+def _row_dtype(n_levels: int) -> np.dtype:
+    """The smallest unsigned dtype holding every row index (``uint8`` up to 256 levels)."""
+    return np.min_scalar_type(n_levels - 1)
+
+
+def lookup_answers(n_levels: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``lookup`` op's answers ``(rows, late)`` for each interval ``k = 0..n_levels``.
+
+    Interval ``k`` holds the times with exactly ``k`` boundaries strictly
+    below them; the answer does not depend on the state, so one row serves
+    every state and member.
+    """
+    rows, late = quality_answers(np.arange(n_levels + 1), n_levels)
+    return rows.astype(_row_dtype(n_levels)), late
+
+
+def relaxation_intervals(
+    boundaries: np.ndarray,
+    steps: tuple[int, ...],
+    lower: tuple[np.ndarray, ...],
+    upper: tuple[np.ndarray, ...],
+) -> dict[str, np.ndarray]:
+    """Compile the relaxation rule into per-state interval tables.
+
+    ``boundaries`` is the ``(n_states, n_levels)`` ascending ``t^D`` layout
+    of :func:`ascending_boundaries`; ``lower``/``upper`` hold one
+    ``(n_levels, n_states)`` bound array per step of ``steps`` (the
+    :class:`~repro.core.relaxation.RelaxationTable` layout).  Returns
+
+    * ``breakpoints`` — ``(n_states, K)``, each row the state's boundaries
+      and every ``R^r_q`` lower/upper bound, sorted (``K = n_levels * (1 +
+      2 |steps|)``; NaN sorts last, as ``searchsorted`` expects);
+    * ``rows``/``steps``/``late`` — ``(n_states, K + 1)`` answers, entry
+      ``k`` answering every time with exactly ``k`` breakpoints strictly
+      below it (compact dtypes: unsigned rows, ``int32`` steps, ``bool``).
+
+    Exact by construction: the rule only tests ``x < t`` and ``t <= x``
+    for breakpoints ``x``, so its answer is constant on each interval
+    ``(P[k-1], P[k]]``.  Each answer is the rule evaluated on the original
+    bounds at one time inside its interval — the right end, or just above
+    the left end when the right end is not finite — with the scalar
+    manager's comparisons: the level from the boundary count, then the
+    largest step whose region ``low < t <= high`` contains the time, 1 on
+    the late path.  Intervals no time reaches (empty, or past a NaN) get an
+    answer that is never read.  Built in one pass per level and per step,
+    with ``(n_states, K + 1)`` temporaries only.
+    """
+    n_states, n_levels = boundaries.shape
+    breakpoints = np.concatenate(
+        [boundaries, *(np.asarray(bound).T for bound in (*lower, *upper))], axis=1
+    )
+    breakpoints.sort(axis=1)
+    # one time per interval: its right end, else just above its left end
+    times = np.concatenate([breakpoints, np.full((n_states, 1), np.inf)], axis=1)
+    left = np.concatenate([np.full((n_states, 1), -np.inf), breakpoints], axis=1)
+    open_right = ~np.isfinite(times)
+    times[open_right] = np.nextafter(left[open_right], np.inf)
+
+    first = np.zeros(times.shape, dtype=np.intp)
+    for level in range(n_levels):
+        first += boundaries[:, level, None] < times
+    rows, late = quality_answers(first, n_levels)
+    # flat index of (row, state) in the (n_levels, n_states) bound layout
+    cells = rows * n_states + np.arange(n_states)[:, None]
+    best = np.ones(times.shape, dtype=np.result_type(np.int32, np.min_scalar_type(max(steps))))
+    for r, low, high in zip(steps, lower, upper):
+        contained = (np.asarray(low).take(cells) < times) & (
+            times <= np.asarray(high).take(cells)
+        )
+        np.maximum(best, r, out=best, where=contained)
+    best[late] = 1
+    if _obs_enabled():
+        _obs_registry().inc("engine.decision_tables.built")
+    return {
+        "breakpoints": breakpoints,
+        "rows": rows.astype(_row_dtype(n_levels)),
+        "steps": best,
+        "late": late,
+    }

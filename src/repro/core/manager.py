@@ -37,6 +37,7 @@ __all__ = [
     "MemoryFootprint",
     "Decision",
     "QualityManager",
+    "CachedLowering",
     "NumericQualityManager",
 ]
 
@@ -169,7 +170,37 @@ class QualityManager(ABC):
         return f"{type(self).__name__}(name={self.name!r})"
 
 
-class NumericQualityManager(QualityManager):
+class CachedLowering:
+    """Mixin for managers whose kernel spec is costly to build: built once, never pickled.
+
+    :meth:`lower` builds the spec through :meth:`_build_spec` on first use and
+    returns the same object while the manager's ``name`` (the spec's
+    ``kind``) is unchanged, so every run, compare and kernel compile that
+    reuses the manager shares its tables.  The cached spec is dropped from
+    pickles — a worker rebuilds it on first use — so shipping a manager
+    costs what it did before it was ever lowered.  List it before
+    :class:`QualityManager` among the bases.
+    """
+
+    _spec: "KernelSpec | None" = None
+
+    def _build_spec(self) -> "KernelSpec | None":
+        """Build the spec :meth:`lower` caches."""
+        raise NotImplementedError
+
+    def lower(self) -> "KernelSpec | None":
+        spec = self._spec
+        if spec is None or spec.kind != self.name:
+            spec = self._spec = self._build_spec()
+        return spec
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_spec", None)
+        return state
+
+
+class NumericQualityManager(CachedLowering, QualityManager):
     """Straightforward on-line implementation of the quality-management policy.
 
     On every call it evaluates ``t^D(s_i, q)`` for each quality level by
@@ -219,12 +250,13 @@ class NumericQualityManager(QualityManager):
         )
         return Decision(quality=quality, steps=1, work=work)
 
-    def lower(self) -> "KernelSpec | None":
+    def _build_spec(self) -> "KernelSpec | None":
         """Interval lookup over ``t^D`` with the on-line scan's per-state work.
 
         The chosen qualities are what the on-line computation would produce
         (they are read from the same table), but the reported work shrinks as
-        the cycle advances — hence one work record per state.
+        the cycle advances — hence one work record per state, built once
+        (:class:`CachedLowering`).
         """
         from .kernelspec import interval_spec
 

@@ -30,7 +30,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .manager import Decision, ManagerWork, MemoryFootprint, QualityManager
+from .manager import (
+    CachedLowering,
+    Decision,
+    ManagerWork,
+    MemoryFootprint,
+    QualityManager,
+)
 from .regions import QualityRegionTable
 from .tdtable import TDTable
 from .types import QualitySet
@@ -249,7 +255,7 @@ class RelaxationTable:
         )
 
 
-class RelaxationQualityManager(QualityManager):
+class RelaxationQualityManager(CachedLowering, QualityManager):
     """Symbolic Quality Manager using quality regions *and* control relaxation.
 
     On each invocation it (1) determines the quality level from the quality
@@ -312,9 +318,15 @@ class RelaxationQualityManager(QualityManager):
         )
         return Decision(quality=quality, steps=steps, work=work)
 
-    def lower(self):
-        """A ``relaxation`` spec: region lookup + stored ``R^r_q`` bound scans."""
-        from .kernelspec import KernelSpec, ascending_boundaries
+    def _build_spec(self):
+        """A ``relaxation`` spec over per-state interval tables.
+
+        The tables (:func:`~repro.core.kernelspec.relaxation_intervals`) are
+        built on the first :meth:`lower` and shared by every later run,
+        compare and kernel compile reusing this manager; they are dropped
+        from pickles and rebuilt on first use (:class:`CachedLowering`).
+        """
+        from .kernelspec import KernelSpec, ascending_boundaries, relaxation_intervals
 
         table = self._relaxation
         boundaries = ascending_boundaries(table.td_table.values)
@@ -322,20 +334,17 @@ class RelaxationQualityManager(QualityManager):
             return None
         n_levels = len(self.qualities)
         n_rho = len(table.steps)
+        intervals = relaxation_intervals(
+            boundaries,
+            table.steps,
+            tuple(table.lower_bounds(r) for r in table.steps),
+            tuple(table.upper_bounds(r) for r in table.steps),
+        )
         return KernelSpec(
             op="relaxation",
             kind=self.name,
             n_levels=n_levels,
-            tables={
-                "boundaries": boundaries,
-                "steps": table.steps,
-                "lower": tuple(
-                    np.ascontiguousarray(table.lower_bounds(r).T) for r in table.steps
-                ),
-                "upper": tuple(
-                    np.ascontiguousarray(table.upper_bounds(r).T) for r in table.steps
-                ),
-            },
+            tables={"boundaries": boundaries, **intervals},
             work=ManagerWork(
                 kind=self.name,
                 comparisons=n_levels + 2 * n_rho,

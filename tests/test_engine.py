@@ -213,18 +213,34 @@ class TestParityGrid:
         assert_outcomes_identical(scalar, batch)
 
 
-def _edge_times(spec, state_index: int) -> np.ndarray:
+def _relaxation_table(manager) -> RelaxationTable:
+    """The relaxation table behind a relaxation manager or a wrapper (dvfs, multitask)."""
+    while not isinstance(manager, RelaxationQualityManager):
+        manager = manager.inner
+    return manager.relaxation
+
+
+def _edge_times(manager, spec, state_index: int) -> np.ndarray:
     """Every table edge of one state, plus both float neighbours of each.
 
     The ``t^D`` boundaries, and for the relaxation-style ops every step's
     lower/upper region bound — the points where ``<`` and ``<=`` decide.
+    Relaxation edges come from the manager's own ``t^D`` and
+    :class:`RelaxationTable` bounds, never from the lowered breakpoints, so
+    a bound the lowering misses is still probed.
     """
     tables = spec.tables
-    edges = [tables["boundaries"][state_index]]
     if spec.op == "relaxation":
-        for lower, upper in zip(tables["lower"], tables["upper"]):
-            edges += [lower[state_index], upper[state_index]]
-    elif spec.op == "affine":
+        table = _relaxation_table(manager)
+        edges = [table.td_table.values[:, state_index]]
+        for r in table.steps:
+            edges += [
+                table.lower_bounds(r)[:, state_index],
+                table.upper_bounds(r)[:, state_index],
+            ]
+    else:
+        edges = [tables["boundaries"][state_index]]
+    if spec.op == "affine":
         for k in range(len(tables["steps"])):
             edges.append(tables["u_slope"][k] * state_index + tables["u_intercept"][k])
             edges.append(tables["l_slope"][k] * state_index + tables["l_intercept"][k])
@@ -245,6 +261,10 @@ class TestTableEdges:
     )
     # long enough that many edge times fall inside relaxation regions
     N_ACTIONS = 24
+    # the paper encoder's tables carry thousands of -inf lower and +inf upper
+    # bounds; every 16th of its 1,189 states keeps the case quick
+    PAPER_KEYS = ("numeric", "region", "relaxation")
+    PAPER_STATE_STRIDE = 16
 
     @classmethod
     def _managers(cls, key: str, n_members: int):
@@ -256,8 +276,8 @@ class TestTableEdges:
         return managers
 
     @staticmethod
-    def _assert_lanes_match(kernel, managers, state_index, times, members, real):
-        rows, steps, _ = kernel.decide(state_index, times, members, real)
+    def _assert_lanes_match(kernel, managers, state_index, times, members):
+        rows, steps, _, _ = kernel.decide(state_index, times, members)
         rows = np.broadcast_to(rows, times.shape)
         steps = np.broadcast_to(steps, times.shape)
         lane_members = np.broadcast_to(members, times.shape)
@@ -275,8 +295,8 @@ class TestTableEdges:
         kernel = compile_decision_kernel(manager)
         spec = manager.lower()
         for state_index in range(self.N_ACTIONS):
-            times = _edge_times(spec, state_index)
-            self._assert_lanes_match(kernel, [manager], state_index, times, 0, None)
+            times = _edge_times(manager, spec, state_index)
+            self._assert_lanes_match(kernel, [manager], state_index, times, 0)
 
     @pytest.mark.parametrize("key", EDGE_KEYS)
     def test_three_member_stack(self, key):
@@ -290,13 +310,91 @@ class TestTableEdges:
         kernel = DecisionKernel(specs, [None] * len(specs))
         shuffle = np.random.default_rng(5)
         for state_index in range(self.N_ACTIONS):
-            per_member = [_edge_times(spec, state_index) for spec in specs]
+            per_member = [
+                _edge_times(manager, spec, state_index)
+                for manager, spec in zip(managers, specs)
+            ]
             times = np.concatenate(per_member)
             members = np.repeat(np.arange(len(specs)), [len(t) for t in per_member])
             order = shuffle.permutation(len(times))
             times, members = times[order], members[order]
-            real = np.ones(len(times), dtype=bool)
-            self._assert_lanes_match(kernel, managers, state_index, times, members, real)
+            self._assert_lanes_match(kernel, managers, state_index, times, members)
+
+    @pytest.fixture(scope="class")
+    def paper_context(self):
+        from repro.media.workload import paper_encoder
+
+        workload = paper_encoder()
+        return BuildContext.create(workload.build_system(), workload.deadlines())
+
+    @pytest.mark.parametrize("key", PAPER_KEYS)
+    def test_paper_encoder(self, key, paper_context):
+        manager = build_manager(key, paper_context)
+        kernel = compile_decision_kernel(manager)
+        spec = manager.lower()
+        n_states = paper_context.system.n_actions
+        if key == "relaxation":
+            # the paper tables exercise the unreachable-region encodings
+            table = manager.relaxation
+            bounds = [table.lower_bounds(r) for r in table.steps]
+            assert any(np.isneginf(bound).any() for bound in bounds)
+            assert any(np.isposinf(bound).any() for bound in bounds)
+        for state_index in range(0, n_states, self.PAPER_STATE_STRIDE):
+            times = _edge_times(manager, spec, state_index)
+            self._assert_lanes_match(kernel, [manager], state_index, times, 0)
+
+
+class TestDecisionTables:
+    """Relaxation interval tables: built once per manager, compact, never pickled."""
+
+    def test_session_builds_relaxation_tables_once(self, tmp_path, monkeypatch):
+        from repro.api import Session
+        from repro.obs import metrics, reset_enabled
+
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "telemetry"))
+        reset_enabled()
+        metrics.registry().reset()
+        try:
+            session = Session().system("small").manager("relaxation").seed(0)
+            session.run(cycles=3)
+            session.run(cycles=3)
+            session.compare("numeric", "relaxation", cycles=2)
+            snap = metrics.registry().snapshot()["metrics"]
+            assert snap["engine.decision_tables.built"] == {"kind": "counter", "value": 1}
+        finally:
+            reset_enabled()
+            metrics.registry().reset()
+
+    def test_tables_stay_out_of_pickles(self):
+        import pickle
+
+        from repro.media.workload import small_encoder
+
+        workload = small_encoder()
+        context = BuildContext.create(workload.build_system(), workload.deadlines())
+        manager = build_manager("relaxation", context)
+        before = len(pickle.dumps(manager))
+        spec = manager.lower()
+        assert manager.lower() is spec  # memoised, not rebuilt
+        assert len(pickle.dumps(manager)) == before
+        restored = pickle.loads(pickle.dumps(manager))
+        for name, table in restored.lower().tables.items():
+            assert np.array_equal(table, spec.tables[name]), name
+
+    def test_compact_answer_tables(self, setup):
+        _, _, context = setup
+        manager = build_manager("relaxation", context)
+        tables = manager.lower().tables
+        n_states = manager.relaxation.n_states
+        n_levels = len(manager.qualities)
+        width = n_levels * (1 + 2 * len(manager.relaxation.steps))
+        assert tables["breakpoints"].shape == (n_states, width)
+        breakpoints = tables["breakpoints"]
+        assert np.all(breakpoints[:, 1:] >= breakpoints[:, :-1])  # sorted rows
+        for name, dtype in (("rows", np.uint8), ("steps", np.int32), ("late", bool)):
+            assert tables[name].shape == (n_states, width + 1), name
+            assert tables[name].dtype == dtype, name
 
 
 class TestKernelCompilation:
@@ -470,6 +568,71 @@ class TestKernelCompilation:
                 split["seconds"]
             )
         assert vector_model.total_seconds == pytest.approx(scalar_model.total_seconds)
+
+    @pytest.mark.parametrize("path", ["solo", "fleet"])
+    def test_late_calls_replayed_with_per_state_work(self, path):
+        """Late invocations of a per-state-work spec reach ``charge_batch``.
+
+        No registry manager lowers per-state work together with a late
+        record, but a user-registered one can: tripled actual times drive
+        the small encoder late, and every late call must be counted.
+        """
+        import dataclasses
+
+        from repro.core.fleet import run_fleet
+        from repro.core.timing import ScenarioBatch
+        from repro.media.workload import small_encoder
+
+        class PerStateRelaxation(RelaxationQualityManager):
+            def lower(self):
+                spec = super().lower()
+                work = tuple(spec.work for _ in range(self.relaxation.n_states))
+                return dataclasses.replace(spec, work=work)
+
+        workload = small_encoder()
+        system = workload.build_system()
+        context = BuildContext.create(system, workload.deadlines())
+        base = build_manager("relaxation", context)
+        manager = PerStateRelaxation(base.regions, base.relaxation)
+        drawn = system.draw_scenarios(64, np.random.default_rng(0))
+        batches = [ScenarioBatch(drawn.qualities, drawn.tensor * 3)]
+        if path == "fleet":  # a second, shorter member pads the last chunk
+            batches.append(batches[0][:40])
+        vector_models = [LinearOverheadModel(IPOD_LIKE) for _ in batches]
+        if path == "solo":
+            run_cycles_vectorized(
+                system, manager, batches[0], overhead_model=vector_models[0]
+            )
+        else:
+            members = [
+                FleetMember(
+                    label=f"m{index}",
+                    system=system,
+                    manager=manager,
+                    deadlines=workload.deadlines(),
+                    cycles=len(batch),
+                    scenarios=batch,
+                    chunk_size=32,
+                    overhead_model=model,
+                )
+                for index, (batch, model) in enumerate(zip(batches, vector_models))
+            ]
+            assert len(FleetPlan.plan(members).buckets) == 1
+            run_fleet(members)
+        for batch, vector_model in zip(batches, vector_models):
+            scalar_model = LinearOverheadModel(IPOD_LIKE)
+            outcomes = [
+                run_cycle(system, manager, scenario=s, overhead_model=scalar_model)
+                for s in batch
+            ]
+            assert any(
+                (outcome.qualities == system.qualities.minimum).any()
+                for outcome in outcomes
+            ), "the tripled times should drive the late path"
+            assert vector_model.calls == scalar_model.calls
+            assert {
+                kind: split["calls"] for kind, split in vector_model.per_kind().items()
+            } == {kind: split["calls"] for kind, split in scalar_model.per_kind().items()}
 
 
 @pytest.fixture

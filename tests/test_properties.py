@@ -5,6 +5,8 @@ parameterized systems, deadlines and actual-time draws:
 
 * safety of the mixed policy under any admissible actual-time function;
 * equivalence of the numeric, region and relaxation managers;
+* both on the scalar, vectorised, streamed (chunk sizes 1, 7 and the
+  default) and fleet paths;
 * structural monotonicity of ``t^D``;
 * Proposition 1 (speed characterisation) and Proposition 2 (region
   characterisation);
@@ -32,8 +34,10 @@ from repro.core import (
     compute_td_table,
     run_cycle,
     run_cycles_batch,
+    run_cycles_streamed,
 )
-from repro.core.fleet import FleetMember, run_fleet
+from repro.core.fleet import DEFAULT_FLEET_CHUNK, FleetMember, run_fleet
+from repro.core.timing import ScenarioBatch
 from repro.extensions import LinearRelaxationQualityManager, LinearRelaxationTable
 
 _SETTINGS = settings(
@@ -109,13 +113,21 @@ def admissible_scenarios(draw, system: ParameterizedSystem):
     return ActualTimeScenario(system.qualities, matrix)
 
 
+#: streamed chunk sizes: one cycle per chunk, an uneven split, the default
+STREAM_CHUNKS = (1, 7, DEFAULT_FLEET_CHUNK)
+
+
 def assert_vectorised_paths_match_numeric(system, deadlines, controllers, scenario):
-    """Safety and equivalence on the vectorised and fleet paths.
+    """Safety and equivalence on the vectorised, fleet and streamed paths.
 
     ``run_cycles_batch`` must choose the numeric manager's quality rows and
     pass the trace audit; ``run_fleet`` over numeric, region and relaxation
     (scenario shipped by value) must reproduce numeric's quality histogram
-    with no deadline miss.
+    with no deadline miss.  Streamed at each of :data:`STREAM_CHUNKS` over a
+    nine-cycle batch repeating the drawn scenario, the worst case and the
+    drawn scenario at half speed (all admissible), the same three managers
+    must miss no deadline and reproduce the scalar numeric loop's histogram
+    over the batch.
     """
     reference = run_cycle(system, controllers.numeric, scenario=scenario)
     levels, counts = np.unique(reference.qualities, return_counts=True)
@@ -139,6 +151,22 @@ def assert_vectorised_paths_match_numeric(system, deadlines, controllers, scenar
     for member, summary in zip(members, run_fleet(members)):
         assert summary.quality_level_counts == histogram, member.label
         assert summary.metrics().deadline_misses == 0, member.label
+
+    matrices = [scenario.matrix, system.worst_case.values, scenario.matrix * 0.5] * 3
+    batch = ScenarioBatch(system.qualities, np.stack(matrices))
+    qualities = np.concatenate(
+        [run_cycle(system, controllers.numeric, scenario=s).qualities for s in batch]
+    )
+    levels, counts = np.unique(qualities, return_counts=True)
+    histogram = dict(zip(levels.tolist(), counts.tolist()))
+    for manager in managers:
+        for chunk in STREAM_CHUNKS:
+            summary = run_cycles_streamed(
+                system, manager, deadlines=deadlines, chunk_size=chunk, scenarios=batch
+            )
+            label = f"{manager.name}, chunk {chunk}"
+            assert summary.metrics().deadline_misses == 0, label
+            assert summary.quality_level_counts == histogram, label
 
 
 # --------------------------------------------------------------------------- #
