@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis import compute_metrics, smoothness_index
+from repro.analysis import smoothness_index
+from repro.api import Session
 from repro.baselines import average_only_manager, safe_only_manager
 from repro.core import (
     ActualTimeScenario,
     QualityManagerCompiler,
-    RelaxationQualityManager,
-    RelaxationTable,
     audit_trace,
     run_cycle,
 )
-from repro.platform import PlatformExecutor, ipod_video
+from repro.platform import ipod_video
 
 
 def bench_ablation_policy_choice(benchmark, fast_workload):
@@ -68,19 +67,21 @@ def bench_ablation_relaxation_step_sets(benchmark, fast_workload):
     """A2: sweep the relaxation step set ρ (memory vs manager invocations)."""
     system = fast_workload.build_system()
     deadlines = fast_workload.deadlines()
-    base = QualityManagerCompiler().compile(system, deadlines)
-    executor = PlatformExecutor(ipod_video())
     step_sets = [(1,), (1, 10), (1, 10, 20, 30, 40, 50), (1, 5, 10, 25, 50, 100, 200)]
 
     def sweep():
         records = []
         for steps in step_sets:
-            relaxation = RelaxationTable(base.td_table, steps)
-            manager = RelaxationQualityManager(base.region.regions, relaxation)
-            result = executor.run(
-                system, deadlines, manager, n_cycles=2, rng=np.random.default_rng(0)
+            session = (
+                Session()
+                .system(system)
+                .deadlines(deadlines)
+                .machine("ipod")
+                .relaxation_steps(*steps)
+                .manager("relaxation")
             )
-            metrics = compute_metrics(result.outcomes, deadlines)
+            metrics = session.run(cycles=2, chunk_size=None).metrics
+            relaxation = session.compile().relaxation.relaxation
             records.append(
                 {
                     "rho": list(steps),
@@ -105,13 +106,11 @@ def bench_ablation_overhead_free_platform(benchmark, fast_workload):
     demonstrating that the quality gap of Figure 7 is purely an overhead effect."""
     system = fast_workload.build_system()
     deadlines = fast_workload.deadlines()
-    controllers = QualityManagerCompiler().compile(system, deadlines)
-    executor = PlatformExecutor(ipod_video(), charge_overhead=False)
+    # the iPod's deployed timings, with management charged nothing
+    session = Session().system(ipod_video().deploy(system)).deadlines(deadlines)
 
     def run_all():
-        return executor.compare(
-            system, deadlines, controllers.managers(), n_cycles=3, seed=1
-        )
+        return session.compare(cycles=3, seed=1, chunk_size=None)
 
     results = benchmark.pedantic(run_all, rounds=1, iterations=1)
     numeric = results["numeric"].mean_quality_per_cycle

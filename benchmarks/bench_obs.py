@@ -1,7 +1,7 @@
 """Telemetry overhead gate: the obs layer must be near-free.
 
-The instrumented hot seam is :func:`repro.core.engine.run_cycles_batch`
-(two counter increments behind a cached ``enabled()`` check) plus the
+The instrumented hot seam is :func:`repro.core.streaming.execute_cycles`
+(a few counter increments behind a cached ``enabled()`` check) plus the
 session-style span wrapped around each batch.  This bench runs the
 BENCH_engine workload — 256 paper-scale cycles of the relaxation manager
 — in three modes and gates the ratios:
@@ -29,7 +29,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.engine import run_cycles_batch
+from repro.core.streaming import execute_cycles
 from repro.obs import enable, export, metrics, reset_enabled, trace
 from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel
 
@@ -72,9 +72,9 @@ def bench_obs_overhead(tmp_path, paper_system, paper_controllers):
     scenarios = paper_system.draw_scenarios(_N_CYCLES, np.random.default_rng(0))
 
     def run_batch():
-        return run_cycles_batch(
+        return execute_cycles(
             paper_system, manager, scenarios=scenarios, overhead_model=overhead_model
-        )
+        )[0]
 
     def run_instrumented():
         with trace.span("bench.execute", cycles=_N_CYCLES):

@@ -3,10 +3,14 @@
 Three claims of :mod:`repro.core.streaming` are asserted here:
 
 * a **1,048,576-cycle** streamed `Session.run` completes with peak RSS
-  under a fixed bound (measured by ``resource.getrusage`` in an isolated
-  subprocess) — the materialised path would need tens of gigabytes for
-  the scenario tensor alone, so the bound proves memory is constant in
-  the run length;
+  under a fixed bound (the subprocess's own ``VmHWM`` high-water mark) —
+  the materialised path would need tens of gigabytes for the scenario
+  tensor alone, so the bound proves memory is constant in the run length.
+  The probe must not see the benchmark process's own peak:
+  ``getrusage(RUSAGE_SELF).ru_maxrss`` on Linux carries the parent's peak
+  across ``fork`` + ``exec``, so it is only the fallback where there is no
+  ``/proc``, and a check runs the probe from a process holding more memory
+  than the probe can report;
 * streamed throughput stays within 10% of the materialised path on a
   4,096-cycle run (the streaming fold is bookkeeping on top of the same
   kernels, not a second engine);
@@ -46,15 +50,30 @@ _MIN_MEASURABLE_SCALAR_S = 0.050
 
 _ROOT = Path(__file__).resolve().parent.parent
 
-# runs inside a fresh interpreter so ru_maxrss reflects only this run
+#: memory the parent holds while the probe checks that it reports only its own peak
+_HELD_BY_PARENT_MIB = 320
+
+# runs inside a fresh interpreter and reports that interpreter's own peak
 _SUBPROCESS_SCRIPT = """\
 import json, resource, sys
 from repro.api import Session
 
+def peak_rss_kib():
+    # VmHWM counts this process only; ru_maxrss would carry the parent's
+    # peak across fork + exec, so it is the fallback where /proc is missing
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+
 cycles, chunk = int(sys.argv[1]), int(sys.argv[2])
 result = Session().system("small").seed(0).chunk_size(chunk).run(cycles=cycles)
 print(json.dumps({
-    "peak_rss_kib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+    "peak_rss_kib": peak_rss_kib(),
     "n_cycles": result.n_cycles,
     "is_summary": result.is_summary,
     "mean_quality": result.metrics.mean_quality,
@@ -77,7 +96,8 @@ def _fresh_session(workload):
     return Session().system(workload).seed(0).manager("relaxation")
 
 
-def _measure_million_cycle_rss() -> dict:
+def _measure_streamed_rss(cycles: int, chunk: int) -> dict:
+    """Run a streamed ``cycles``-cycle session in a fresh interpreter."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(_ROOT / "src"), env.get("PYTHONPATH", "")]
@@ -85,7 +105,7 @@ def _measure_million_cycle_rss() -> dict:
     env.pop("REPRO_CHUNK", None)
     started = time.perf_counter()
     completed = subprocess.run(
-        [sys.executable, "-c", _SUBPROCESS_SCRIPT, str(_N_CYCLES_STREAMED), str(_CHUNK_SIZE)],
+        [sys.executable, "-c", _SUBPROCESS_SCRIPT, str(cycles), str(chunk)],
         capture_output=True,
         text=True,
         env=env,
@@ -94,12 +114,12 @@ def _measure_million_cycle_rss() -> dict:
     )
     elapsed = time.perf_counter() - started
     assert completed.returncode == 0, (
-        f"million-cycle streamed run failed:\n{completed.stderr}"
+        f"{cycles}-cycle streamed run failed:\n{completed.stderr}"
     )
     stats = json.loads(completed.stdout)
     stats["elapsed_seconds"] = elapsed
     stats["peak_rss_mib"] = stats["peak_rss_kib"] / 1024.0
-    stats["cycles_per_sec"] = _N_CYCLES_STREAMED / elapsed
+    stats["cycles_per_sec"] = cycles / elapsed
     return stats
 
 
@@ -148,7 +168,7 @@ def _parity_grid(workload) -> dict[str, bool]:
 
 def bench_streaming_memory_gate(fast_workload):
     """Million cycles under a fixed RSS bound; parity + throughput at 4,096."""
-    rss = _measure_million_cycle_rss()
+    rss = _measure_streamed_rss(_N_CYCLES_STREAMED, _CHUNK_SIZE)
     throughput = _measure_throughput(fast_workload)
     parity = _parity_grid(fast_workload)
 
@@ -192,4 +212,23 @@ def bench_streaming_memory_gate(fast_workload):
         f"streamed path runs at {throughput['throughput_ratio']:.2f}x the "
         f"materialised throughput on a {_N_CYCLES_PARITY}-cycle run "
         f"(gate {_MIN_THROUGHPUT_RATIO}x)"
+    )
+
+
+def bench_rss_probe_excludes_parent_peak():
+    """The probe reports the subprocess's peak, not the benchmark process's.
+
+    The parent holds more resident memory than a short streamed run can
+    use; a probe that inherited the parent's high-water mark would report
+    at least that much.
+    """
+    held = np.ones(_HELD_BY_PARENT_MIB * 2**20 // 8)  # written, so resident
+    try:
+        stats = _measure_streamed_rss(64, 16)
+    finally:
+        del held
+    assert stats["is_summary"] and stats["n_cycles"] == 64
+    assert stats["peak_rss_mib"] < _HELD_BY_PARENT_MIB, (
+        f"the probe reported {stats['peak_rss_mib']:.0f} MiB while the parent "
+        f"held {_HELD_BY_PARENT_MIB} MiB: it measures the parent's peak"
     )

@@ -1,17 +1,19 @@
 """Result objects of the facade's run layer.
 
-A :class:`RunResult` aggregates the cycle traces of one manager; a
+A :class:`RunResult` holds what one manager's run produced; a
 :class:`BatchResult` groups several labelled runs (a manager comparison on
-identical scenarios, or a scenario sweep).  Metric aggregation delegates to
-:mod:`repro.analysis.metrics` and is computed lazily — building a result is
-free, so the facade adds no work to the execution hot path.
+identical scenarios, or a scenario sweep).
 
-A chunk-streamed run (``Session.run(..., chunk_size=...)``) produces a
-*summary-only* result: ``outcomes`` is empty and ``summary`` holds the
-:class:`~repro.core.streaming.StreamingMetrics` accumulator instead.  Its
-:attr:`RunResult.metrics` are bit-identical to the materialised path;
-per-cycle accessors (:attr:`RunResult.mean_quality_per_cycle`,
-:attr:`RunResult.quality_values`) are unavailable and raise.
+Every run the facade executes carries its
+:class:`~repro.core.streaming.StreamingMetrics` ``summary``, folded by the
+run driver chunk by chunk, and :attr:`RunResult.metrics` reads it; a result
+built from outcomes alone computes its metrics lazily through
+:func:`~repro.analysis.metrics.compute_metrics`, bit-identically.  A
+materialised run also keeps its per-cycle ``outcomes``.  A chunk-streamed
+run (``Session.run(..., chunk_size=...)``) produces a *summary-only*
+result: ``outcomes`` is empty, and the per-cycle accessors
+(:attr:`RunResult.mean_quality_per_cycle`, :attr:`RunResult.quality_values`)
+are unavailable and raise.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ __all__ = ["RunResult", "BatchResult"]
 
 @dataclass(frozen=True)
 class RunResult:
-    """Cycle traces of one manager plus lazily-computed aggregates."""
+    """Cycle traces and/or the run summary of one manager, plus aggregates."""
 
     manager_key: str
     manager_name: str
@@ -66,7 +68,7 @@ class RunResult:
     @cached_property
     def metrics(self) -> QualityMetrics:
         """Safety/optimality/smoothness/overhead aggregates (computed once)."""
-        if self.is_summary:
+        if self.summary is not None:
             return self.summary.metrics()
         return compute_metrics(self.outcomes, self.deadlines)
 

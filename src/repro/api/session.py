@@ -120,18 +120,6 @@ def _coerce_chunk_size(value: Any) -> int | None:
     return chunk
 
 
-def _result_fields(tail: Any) -> dict[str, Any]:
-    """The RunResult outcome fields a worker tail implies.
-
-    Streamed units return a :class:`~repro.core.streaming.StreamingMetrics`
-    summary instead of a tuple of cycle traces; either shape lands in the
-    right :class:`~repro.api.results.RunResult` field here.
-    """
-    if isinstance(tail, StreamingMetrics):
-        return {"outcomes": (), "summary": tail}
-    return {"outcomes": tail}
-
-
 def resolve_overhead_model(machine: Any, overhead: Any) -> OverheadModelProtocol | None:
     """The overhead model a (machine, raw overhead setting) pair implies.
 
@@ -151,7 +139,7 @@ def resolve_overhead_model(machine: Any, overhead: Any) -> OverheadModelProtocol
     )
 
     if machine is not None:
-        # mirror PlatformExecutor: per-call clock read is charged on top
+        # every manager invocation also reads the real-time clock once
         params = machine.overhead
         if machine.clock_read_overhead > 0.0:
             params = OverheadParameters(
@@ -997,9 +985,9 @@ class Session:
         seed: int | None,
         scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None,
         options: tuple[str, str | None, int | None],
-    ) -> tuple[CycleOutcome, ...] | StreamingMetrics:
-        """One solo execution on this session's system: outcomes, or a
-        streamed summary when ``options`` carry a chunk size."""
+    ) -> tuple[tuple[CycleOutcome, ...], StreamingMetrics | None]:
+        """One solo execution on this session's system: ``(outcomes,
+        summary)``, with no outcomes when ``options`` carry a chunk size."""
         vectorize, backend, chunk = options
         return execute_cycles(
             self._execution_system(),
@@ -1042,15 +1030,18 @@ class Session:
             with obs_trace.span("session.compile"):
                 manager = self.build()
             with obs_trace.span("session.execute"):
-                tail = self._execute(manager, n_cycles, used_seed, scenarios, options)
+                outcomes, summary = self._execute(
+                    manager, n_cycles, used_seed, scenarios, options
+                )
         obs_export.flush()
         return RunResult(
             manager_key=self._spec.key,
             manager_name=manager.name,
+            outcomes=outcomes,
             deadlines=self.resolved_deadlines(),
             seed=used_seed,
             machine_name=self._machine.name if self._machine is not None else None,
-            **_result_fields(tail),
+            summary=summary,
         )
 
     def compare(
@@ -1700,23 +1691,24 @@ class Session:
         label_of: Callable[[Any, str], str],
         seed: int | None,
     ) -> Iterator[tuple[str, RunResult]]:
-        """Wrap ``(unit, manager name, outcomes-or-summary)`` records as
+        """Wrap ``(unit, manager name, (outcomes, summary))`` records as
         uniquely labelled :class:`~repro.api.results.RunResult` objects."""
         from repro.runtime.plan import unique_label
 
         deadlines = self.resolved_deadlines()
         machine_name = self._machine.name if self._machine is not None else None
         taken: set[str] = set()
-        for unit, name, tail in records:
+        for unit, name, (outcomes, summary) in records:
             label = unique_label(taken, label_of(unit, name), unit.index)
             taken.add(label)
             yield label, RunResult(
                 manager_key=unit.manager.key,
                 manager_name=name,
+                outcomes=outcomes,
                 deadlines=deadlines,
                 seed=unit.seed if seed is None else seed,
                 machine_name=machine_name,
-                **_result_fields(tail),
+                summary=summary,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

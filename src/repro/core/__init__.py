@@ -25,7 +25,6 @@ from .deadlines import DeadlineFunction
 from .engine import (
     EngineError,
     compile_decision_kernel,
-    run_cycles_batch,
     run_cycles_vectorized,
     supports_vectorized,
 )
@@ -52,7 +51,7 @@ from .relaxation import (
     RelaxationTable,
 )
 from .speed import SpeedAssessment, SpeedDiagram
-from .streaming import QuantileSketch, StreamingMetrics, run_cycles_streamed
+from .streaming import QuantileSketch, StreamingMetrics, execute_cycles
 from .system import CycleOutcome, ParameterizedSystem
 from .tdtable import TDTable, compute_td_table
 from .timing import (
@@ -141,11 +140,10 @@ __all__ = [
     "compile_decision_kernel",
     "supports_vectorized",
     "run_cycles_vectorized",
-    "run_cycles_batch",
-    # streaming chunked execution
+    # the solo run driver and its mergeable summary
+    "execute_cycles",
     "QuantileSketch",
     "StreamingMetrics",
-    "run_cycles_streamed",
     # kernel specs and compute backends
     "KernelSpec",
     "PRIMITIVE_OPS",

@@ -7,10 +7,13 @@ Each consultation can be charged a management overhead, provided by an
 overhead model — that charge is exactly the quantity the symbolic managers
 reduce.
 
-The execution loop lives here, in the core package, so that it can be used
-without the platform layer (zero overhead, ideal clock).  The platform
-executor (:mod:`repro.platform.executor`) wraps this loop with a calibrated
-overhead model and clock effects.
+The per-cycle loop lives here, in the core package, so that it can be used
+without the platform layer (zero overhead, ideal clock).  It is the
+reference the vectorised engine (:mod:`repro.core.engine`) matches bit for
+bit and the scalar fallback of the solo driver
+(:func:`repro.core.streaming.execute_cycles`); the facade
+(:class:`repro.api.session.Session`) adds a machine's calibrated overhead
+model and clock-read cost on top.
 """
 
 from __future__ import annotations
@@ -283,15 +286,13 @@ class ControlledSystem:
             raise ValueError(
                 f"expected {n_cycles} scenarios, got {len(scenarios)}"
             )
-        generator = rng if rng is not None else np.random.default_rng(0)
-        return list(
-            execute_cycles(
-                self._system,
-                self._manager,
-                n_cycles,
-                scenarios=scenarios,
-                rng=generator,
-                overhead_model=self._overhead_model,
-                vectorize=vectorize,
-            )
+        outcomes, _ = execute_cycles(
+            self._system,
+            self._manager,
+            n_cycles,
+            scenarios=scenarios,
+            rng=rng,
+            overhead_model=self._overhead_model,
+            vectorize=vectorize,
         )
+        return list(outcomes)

@@ -25,18 +25,18 @@ The engine works in three parts:
   lane of a scenario tensor by exactly one action per iteration, so the
   per-lane sequence of floating-point additions (overhead, then one
   duration per action) is *identical* to the scalar loop.  It is the only
-  loop: a materialised (:func:`run_cycles_vectorized`) or streamed
-  (:mod:`repro.core.streaming`) solo run is a one-member bucket, and a
-  fleet bucket (:mod:`repro.core.fleet`) adds per-lane member indices, level
-  minima and a real-lane mask;
-* **the dispatcher** — :func:`run_cycles_batch` draws scenarios through the
-  batched :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` API
-  (a columnar :class:`~repro.core.timing.ScenarioBatch` whose tensor the
-  executor consumes directly, no re-stacking) and picks the vectorised path
-  when a kernel exists, falling back to the scalar loop (same results,
-  slower, counted under ``engine.scalar_fallback`` in :mod:`repro.obs`) for
-  managers that do not lower or overhead models that do not declare
-  deterministic charges.
+  loop: a solo run (:func:`repro.core.streaming.execute_cycles`) is a
+  one-member bucket, and a fleet bucket (:mod:`repro.core.fleet`) adds
+  per-lane member indices, level minima and a real-lane mask;
+* **kernel resolution** — :func:`vectorizable_spec` is the one rule that
+  decides whether a run takes the kernel path: the ``vectorize`` mode,
+  then the manager's spec, then a deterministic overhead model, then
+  scenarios on the system's own quality set.  ``"always"`` raises when any
+  step fails, ``"auto"`` and ``"never"`` fall back to the scalar loop
+  (same results, slower, counted under ``engine.scalar_fallback`` in
+  :mod:`repro.obs`).  The solo driver resolves through
+  :func:`compile_decision_kernel` and :class:`~repro.core.fleet.FleetPlan`
+  calls it per member.
 
 Determinism contract: for any manager/overhead/scenario combination, the
 outcomes returned by this module are bit-identical to a sequence of scalar
@@ -51,15 +51,12 @@ not see the individual calls.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.obs.metrics import registry as _obs_registry
-from repro.obs.state import enabled as _obs_enabled
-
 from .backend import get_backend
-from .controller import OverheadModelProtocol, run_cycle
+from .controller import OverheadModelProtocol
 from .kernelspec import KernelSpec
 from .manager import ManagerWork, QualityManager
 from .system import CycleOutcome, ParameterizedSystem
@@ -70,12 +67,12 @@ __all__ = [
     "DecisionKernel",
     "coerce_vectorize_mode",
     "overhead_model_vectorizable",
+    "vectorizable_spec",
     "compile_decision_kernel",
     "supports_vectorized",
     "scenarios_vectorizable",
     "run_cycles_vectorized",
     "run_lockstep_arrays",
-    "run_cycles_batch",
 ]
 
 #: accepted values of the ``vectorize`` switch after coercion
@@ -261,26 +258,71 @@ class DecisionKernel:
                     charge_batch(record, count)
 
 
+def vectorizable_spec(
+    manager: QualityManager,
+    overhead_model: OverheadModelProtocol | None = None,
+    *,
+    system: ParameterizedSystem | None = None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
+    vectorize: object = "auto",
+    subject: str | None = None,
+) -> KernelSpec | None:
+    """The manager's kernel spec when the run can take the kernel path, else ``None``.
+
+    The one vectorisation rule, checked in order: the ``vectorize`` mode
+    (``"never"`` stops here), the manager's spec
+    (:meth:`~repro.core.manager.QualityManager.lower`), an overhead model
+    with deterministic charges, and — when ``scenarios`` are given —
+    scenarios indexed by ``system``'s own quality set.  A failed step means
+    the scalar loop, except under ``"always"``, which raises
+    :class:`EngineError` naming ``subject`` (default: the manager) and the
+    step that failed.
+    """
+    mode = coerce_vectorize_mode(vectorize)
+    if mode == "never":
+        return None
+    spec = manager.lower()
+    if spec is None:
+        reason = "has no vectorised decision kernel"
+    elif not overhead_model_vectorizable(overhead_model):
+        reason = (
+            "has no vectorised decision kernel under an overhead model "
+            "without deterministic charges"
+        )
+    elif scenarios is not None and not scenarios_vectorizable(system, scenarios):
+        reason = (
+            "cannot run vectorised: vectorised execution requires scenarios "
+            "drawn for the system's quality set"
+        )
+    else:
+        return spec
+    if mode == "always":
+        raise EngineError(f"{subject or f'manager {manager.name!r}'} {reason}")
+    return None
+
+
 def compile_decision_kernel(
     manager: QualityManager,
     overhead_model: OverheadModelProtocol | None = None,
     backend: str | None = None,
+    *,
+    system: ParameterizedSystem | None = None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
+    vectorize: object = "auto",
 ) -> DecisionKernel | None:
     """Lower a manager into a :class:`DecisionKernel`, or ``None``.
 
-    Asks the manager for its declarative spec
-    (:meth:`~repro.core.manager.QualityManager.lower`) and compiles it as a
-    one-member kernel on the selected compute backend (explicit name, else
-    ``$REPRO_BACKEND``, else numpy).  ``None`` means the
-    scalar loop must be used: the manager does not lower (no spec, or
-    non-monotone tables) or the overhead model's charges cannot be
-    pre-computed.  Naming an unknown or unavailable backend raises
-    :class:`~repro.core.backend.BackendError` — a requested backend is never
-    silently substituted.
+    Resolves the spec through :func:`vectorizable_spec` (so ``vectorize``,
+    the overhead model and the scenarios' quality set decide as everywhere
+    else) and compiles it as a one-member kernel on the selected compute
+    backend (explicit name, else ``$REPRO_BACKEND``, else numpy).  ``None``
+    means the scalar loop must be used.  Naming an unknown or unavailable
+    backend raises :class:`~repro.core.backend.BackendError` — a requested
+    backend is never silently substituted.
     """
-    if not overhead_model_vectorizable(overhead_model):
-        return None
-    spec = manager.lower()
+    spec = vectorizable_spec(
+        manager, overhead_model, system=system, scenarios=scenarios, vectorize=vectorize
+    )
     if spec is None:
         return None
     return DecisionKernel((spec,), (overhead_model,), backend)
@@ -354,6 +396,8 @@ def run_cycles_vectorized(
     overhead_model: OverheadModelProtocol | None = None,
     kernel: DecisionKernel | None = None,
     backend: str | None = None,
+    sink: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
+    | None = None,
 ) -> tuple[CycleOutcome, ...]:
     """Execute a batch of cycles through the lockstep vectorised engine.
 
@@ -363,15 +407,17 @@ def run_cycles_vectorized(
     performs the exact floating-point operation sequence of the scalar loop
     (overhead added at each invocation, one duration added per action) and
     the returned outcomes are bit-identical to per-cycle
-    :func:`~repro.core.controller.run_cycle` calls.  Raises
-    :class:`EngineError` when the manager has no kernel.
+    :func:`~repro.core.controller.run_cycle` calls.  ``sink`` (e.g. a
+    :meth:`~repro.core.streaming.StreamingMetrics.update_chunk`) also
+    receives the lockstep arrays, so one batch feeds a summary and the
+    outcomes.  Raises :class:`EngineError` when the manager has no kernel.
     """
     if kernel is None:
         kernel = compile_decision_kernel(manager, overhead_model, backend)
         if kernel is None:
             raise EngineError(
                 f"manager {manager.name!r} (with this overhead model) has no "
-                "vectorised decision kernel; use run_cycles_batch for automatic "
+                "vectorised decision kernel; use execute_cycles for automatic "
                 "scalar fallback"
             )
     if not len(scenarios):
@@ -381,6 +427,8 @@ def run_cycles_vectorized(
     qualities, completion, invoked, invocation_overheads = run_lockstep_arrays(
         kernel, matrices, level_minimum
     )
+    if sink is not None:
+        sink(qualities, completion, invoked, invocation_overheads)
     # each action's duration is the scenario entry at the chosen row
     rows = qualities - level_minimum
     durations = np.take_along_axis(matrices, rows[:, None, :], axis=1)[:, 0, :]
@@ -426,8 +474,8 @@ def run_lockstep_arrays(
     plus ``invoked``/``invocation_overheads`` of shape ``(n_actions,
     n_lanes)``, without building per-cycle
     :class:`~repro.core.system.CycleOutcome` objects:
-    :func:`run_cycles_vectorized` wraps them into outcomes, the streamed
-    path (:mod:`repro.core.streaming`) and the fleet
+    :func:`run_cycles_vectorized` wraps them into outcomes, and the solo
+    driver (:mod:`repro.core.streaming`) and the fleet
     (:mod:`repro.core.fleet`) fold them chunk by chunk.  The invocation
     counts the kernel derives from ``invoked`` and the recorded late flags
     are replayed through ``charge_batch`` before returning.
@@ -479,75 +527,3 @@ def run_lockstep_arrays(
     kernel.replay_accounting(invoked, late, members, real)
     return qualities, completion, invoked, invocation_overheads
 
-
-def run_cycles_batch(
-    system: ParameterizedSystem,
-    manager: QualityManager,
-    cycles: int | None = None,
-    *,
-    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
-    rng: np.random.Generator | None = None,
-    overhead_model: OverheadModelProtocol | None = None,
-    vectorize: object = "auto",
-    backend: str | None = None,
-) -> tuple[CycleOutcome, ...]:
-    """Execute a batch of cycles, vectorised when possible.
-
-    The batch entry point used by :class:`~repro.api.session.Session` and the
-    :mod:`~repro.runtime.pool` workers.  ``scenarios`` fixes the actual times
-    of every cycle — a :class:`~repro.core.timing.ScenarioBatch` tensor is
-    executed directly, a sequence of per-cycle scenarios is accepted too;
-    when omitted, ``cycles`` scenarios are drawn up-front as one batch via
-    :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios`
-    (bit-identical to the scalar loop's per-cycle draws, including the
-    sampler-state advancement).  ``vectorize`` is ``"auto"`` (kernel when
-    available, scalar otherwise), ``"always"``/``True`` (raise without a
-    kernel) or ``"never"``/``False`` (scalar loop).  ``backend`` names the
-    compute backend compiling the kernel (``None``: ``$REPRO_BACKEND``, else
-    numpy).
-    """
-    mode = coerce_vectorize_mode(vectorize)
-    if scenarios is None:
-        if cycles is None:
-            raise EngineError("pass a cycle count or an explicit scenario batch")
-        if int(cycles) < 0:
-            raise EngineError(f"cycles must be >= 0, got {cycles}")
-        generator = rng if rng is not None else np.random.default_rng(0)
-        scenarios = system.draw_scenarios(int(cycles), generator)
-    else:
-        if not isinstance(scenarios, ScenarioBatch):
-            scenarios = tuple(scenarios)
-        if cycles is not None and len(scenarios) != int(cycles):
-            raise EngineError(
-                f"expected {cycles} scenarios, got {len(scenarios)}"
-            )
-    kernel = None
-    if mode != "never":
-        kernel = compile_decision_kernel(manager, overhead_model, backend)
-        if kernel is None and mode == "always":
-            raise EngineError(
-                f"manager {manager.name!r} (with this overhead model) has no "
-                "vectorised decision kernel"
-            )
-        if kernel is not None and not scenarios_vectorizable(system, scenarios):
-            if mode == "always":
-                raise EngineError(
-                    "vectorised execution requires scenarios drawn for the "
-                    "system's quality set"
-                )
-            kernel = None  # the scalar loop handles foreign quality sets
-    if _obs_enabled():
-        mode_label = "vectorized" if kernel is not None else "scalar"
-        registry = _obs_registry()
-        registry.inc(f"engine.batches.{mode_label}.{type(manager).__name__}")
-        registry.inc(f"engine.cycles.{mode_label}", len(scenarios))
-        if kernel is None:
-            registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
-    if kernel is not None:
-        return run_cycles_vectorized(
-            system, manager, scenarios, overhead_model=overhead_model, kernel=kernel
-        )
-    return tuple(
-        run_cycle(system, manager, scenario=scenario, overhead_model=overhead_model)
-        for scenario in scenarios
-    )

@@ -55,15 +55,13 @@ from .controller import OverheadModelProtocol
 from .deadlines import DeadlineFunction
 from .engine import (
     DecisionKernel,
-    EngineError,
     coerce_vectorize_mode,
-    overhead_model_vectorizable,
     run_lockstep_arrays,
-    scenarios_vectorizable,
+    vectorizable_spec,
 )
 from .kernelspec import KernelSpec
 from .manager import QualityManager
-from .streaming import StreamingMetrics, run_cycles_streamed
+from .streaming import StreamingMetrics, execute_cycles
 from .system import ParameterizedSystem
 from .timing import ScenarioBatch
 
@@ -202,15 +200,15 @@ class FleetPlan:
     def plan(cls, members: Sequence[FleetMember]) -> "FleetPlan":
         """Bucket ``members`` by kernel-spec shape.
 
-        A member joins a bucket when its manager lowers, its overhead
-        model declares deterministic charges and its scenarios (when
-        shipped by value) index the system's own quality set; otherwise
-        it is routed to the solo streamed fallback.  The member's resolved
-        backend (explicit, else ``$REPRO_BACKEND``) is part of the bucket
-        key, so each bucket compiles one program on the backend its
-        members asked for.  ``vectorize="never"`` forces the fallback,
-        ``"always"`` raises when no kernel exists — the same contract as
-        the engine's dispatcher.
+        A member joins a bucket when
+        :func:`~repro.core.engine.vectorizable_spec` — the solo driver's
+        own rule — gives it a spec: its manager lowers, its overhead model
+        declares deterministic charges and its scenarios (when shipped by
+        value) index the system's own quality set.  Otherwise it is routed
+        to the solo streamed fallback, or, under ``vectorize="always"``,
+        refused.  The member's resolved backend (explicit, else
+        ``$REPRO_BACKEND``) is part of the bucket key, so each bucket
+        compiles one program on the backend its members asked for.
         """
         members = tuple(members)
         if not members:
@@ -224,25 +222,17 @@ class FleetPlan:
         specs: dict[tuple, list[KernelSpec]] = {}
         fallback: list[int] = []
         for index, member in enumerate(members):
-            mode = coerce_vectorize_mode(member.vectorize)
             # validate the backend name up front — never silently substituted
             backend = get_backend(member.backend)
-            spec = member.manager.lower() if mode != "never" else None
-            stackable = (
-                spec is not None
-                and overhead_model_vectorizable(member.overhead_model)
-                and (
-                    member.scenarios is None
-                    or scenarios_vectorizable(member.system, member.scenarios)
-                )
+            spec = vectorizable_spec(
+                member.manager,
+                member.overhead_model,
+                system=member.system,
+                scenarios=member.scenarios,
+                vectorize=member.vectorize,
+                subject=f"fleet member {member.label!r} ({member.manager.name!r})",
             )
-            if mode == "always" and not stackable:
-                raise EngineError(
-                    f"fleet member {member.label!r} ({member.manager.name!r}) has "
-                    "no vectorised decision kernel for this overhead model and "
-                    "scenario set"
-                )
-            if mode == "never" or not stackable:
+            if spec is None:
                 fallback.append(index)
                 continue
             key = bucket_key(spec, member.system.n_actions, backend.name)
@@ -339,8 +329,8 @@ def run_fleet(
     """Execute a whole fleet, one :class:`StreamingMetrics` per member.
 
     Buckets run through the stacked lockstep path; members the plan routed
-    to the fallback run through their own solo
-    :func:`~repro.core.streaming.run_cycles_streamed` — in both cases
+    to the fallback run through the solo driver
+    :func:`~repro.core.streaming.execute_cycles` — in both cases
     the returned summaries are bit-identical to running every member
     alone with its own seed.  Pass a pre-computed ``plan`` to skip
     re-bucketing (it must have been built from the same members).
@@ -353,7 +343,7 @@ def run_fleet(
     summaries: list[StreamingMetrics | None] = [None] * len(members)
     for index in plan.fallback:
         member = plan.members[index]
-        summaries[index] = run_cycles_streamed(
+        _, summaries[index] = execute_cycles(
             member.system,
             member.manager,
             member.cycles,

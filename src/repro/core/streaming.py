@@ -1,20 +1,25 @@
-"""Streaming chunked execution: constant-memory cycle batches.
+"""The solo run driver: chunked execution folded into a mergeable summary.
 
-The columnar pipeline of :mod:`repro.core.engine` materialises the full
-scenario tensor and one :class:`~repro.core.system.CycleOutcome` per cycle —
-at paper scale 4,096 cycles already cost hundreds of megabytes, which rules
-out million-cycle runs by construction.  This module applies the paper's
-"combine" step incrementally inside a single run: the engine pulls
-fixed-size :class:`~repro.core.timing.ScenarioBatch` chunks (drawn through
-the sampler's replayable stream, or sliced zero-copy from a caller-supplied
-batch), executes each chunk through the compiled kernel spec, and folds the
-outcome arrays into a mergeable :class:`StreamingMetrics` accumulator —
-running counts and sums, a per-level quality histogram, and a power-of-two
-:class:`QuantileSketch` over per-cycle makespans — instead of retaining
-per-cycle arrays.
+:func:`execute_cycles` is the one driver behind every solo run — the
+facade's ``Session.run``/``compare``/``run_many``, the pool, spool and
+service workers, ``ControlledSystem.run_cycles`` and the fleet's fallback
+members.  It validates its input once, resolves the decision kernel once
+(:func:`repro.core.engine.compile_decision_kernel`), then runs one chunk
+loop: draw a :class:`~repro.core.timing.ScenarioBatch` chunk through the
+sampler's replayable stream (or slice it zero-copy from a caller-supplied
+batch), execute it through the compiled kernel spec, and fold the outcome
+arrays into a mergeable :class:`StreamingMetrics` accumulator — running
+counts and sums, a per-level quality histogram, and a power-of-two
+:class:`QuantileSketch` over per-cycle makespans.  A *materialised* run is
+the one-chunk case: the chunk holds every cycle (one draw, as a
+``chunk_size``-free run has always drawn) and a sink also keeps each
+cycle's :class:`~repro.core.system.CycleOutcome`.  A streamed run keeps
+only the summary, so million-cycle runs need constant memory.
 
-Determinism contract: the accumulated metrics are **bit-identical** to the
-materialised path at any ``chunk_size``.  Exactness comes in three flavours:
+Determinism contract: the accumulated metrics are **bit-identical** at any
+``chunk_size``, and equal
+:func:`repro.analysis.metrics.compute_metrics` over the outcomes.
+Exactness comes in three flavours:
 
 * integer folds (quality histogram, deadline misses, manager calls) are
   exact, so chunking cannot move them;
@@ -22,9 +27,9 @@ materialised path at any ``chunk_size``.  Exactness comes in three flavours:
   are strict left-to-right folds over per-cycle scalars, and a left fold
   over concatenated chunks equals the fold over the whole stream;
 * the per-cycle scalars themselves are computed by the same NumPy
-  expressions in the chunked and materialised paths
-  (:func:`repro.analysis.metrics.compute_metrics` delegates to this
-  accumulator), so both paths share one code path by construction.
+  expressions in the chunk fold (:meth:`StreamingMetrics.update_chunk`)
+  and the per-outcome fold (:meth:`StreamingMetrics.update_outcome`, used
+  by the scalar loop and by ``compute_metrics``).
 
 Quantiles are the exception: the sketch answers them within a gated
 relative error (:attr:`QuantileSketch.relative_error`), never exactly.
@@ -52,11 +57,9 @@ from .controller import OverheadModelProtocol, run_cycle
 from .deadlines import DeadlineFunction
 from .engine import (
     EngineError,
-    coerce_vectorize_mode,
     compile_decision_kernel,
-    run_cycles_batch,
+    run_cycles_vectorized,
     run_lockstep_arrays,
-    scenarios_vectorizable,
     _scenario_tensor,
 )
 from .manager import QualityManager
@@ -67,7 +70,6 @@ __all__ = [
     "QuantileSketch",
     "StreamingMetrics",
     "execute_cycles",
-    "run_cycles_streamed",
 ]
 
 
@@ -190,11 +192,11 @@ class StreamingMetrics:
     The streaming analogue of a ``tuple[CycleOutcome, ...]``: chunks of
     outcome arrays (or individual outcomes) fold into running aggregates
     from which :meth:`metrics` derives the exact
-    :class:`~repro.analysis.metrics.QualityMetrics` of the run.  The
-    materialised path delegates here too
-    (:func:`repro.analysis.metrics.compute_metrics` folds its outcomes
-    through :meth:`update_outcome`), so streamed and materialised metrics
-    are bit-identical by construction.
+    :class:`~repro.analysis.metrics.QualityMetrics` of the run.  Every solo
+    run, materialised or streamed, and every fleet member summarises
+    through it; :func:`repro.analysis.metrics.compute_metrics` folds
+    stand-alone outcomes through :meth:`update_outcome`, which gives the
+    same metrics bit for bit.
 
     Picklable: a worker streams a million cycles and ships back this
     accumulator — a few integers, floats, one small histogram and one
@@ -352,7 +354,7 @@ class StreamingMetrics:
         self._manager_calls += int(np.count_nonzero(invoked))
 
     def update_outcome(self, outcome: CycleOutcome) -> None:
-        """Fold one executed cycle (the scalar and materialised paths)."""
+        """Fold one executed cycle (the scalar loop and ``compute_metrics``)."""
         self._fold_actions(outcome.n_actions)
         self._n_cycles += 1
         self._fold_levels(outcome.qualities)
@@ -445,114 +447,6 @@ class StreamingMetrics:
         )
 
 
-def run_cycles_streamed(
-    system: ParameterizedSystem,
-    manager: QualityManager,
-    cycles: int | None = None,
-    *,
-    deadlines: DeadlineFunction,
-    chunk_size: int,
-    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
-    rng: np.random.Generator | None = None,
-    overhead_model: OverheadModelProtocol | None = None,
-    vectorize: object = "auto",
-    backend: str | None = None,
-) -> StreamingMetrics:
-    """Execute cycles in fixed-size chunks, folding into a stream summary.
-
-    The streaming counterpart of :func:`~repro.core.engine.run_cycles_batch`:
-    same draw semantics (one RNG threaded through per-chunk
-    :meth:`~repro.core.system.ParameterizedSystem.draw_scenarios` calls is
-    bit-identical to one up-front draw), same ``vectorize``/``backend``
-    switches, same scalar fallback — but at no point does the full scenario
-    tensor or a per-cycle outcome list exist.  Caller-supplied ``scenarios``
-    are consumed chunk by chunk as zero-copy slices.  Returns the
-    :class:`StreamingMetrics` accumulator; its :meth:`~StreamingMetrics.metrics`
-    are bit-identical to the materialised path at any ``chunk_size``.
-    """
-    mode = coerce_vectorize_mode(vectorize)
-    chunk = int(chunk_size)
-    if chunk < 1:
-        raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
-    generator = rng
-    if scenarios is None:
-        if cycles is None:
-            raise EngineError("pass a cycle count or an explicit scenario batch")
-        if int(cycles) < 0:
-            raise EngineError(f"cycles must be >= 0, got {cycles}")
-        n_cycles = int(cycles)
-        if generator is None:
-            generator = np.random.default_rng(0)
-    else:
-        if not isinstance(scenarios, ScenarioBatch):
-            scenarios = tuple(scenarios)
-        n_cycles = len(scenarios)
-        if cycles is not None and n_cycles != int(cycles):
-            raise EngineError(f"expected {cycles} scenarios, got {n_cycles}")
-    kernel = None
-    if mode != "never":
-        kernel = compile_decision_kernel(manager, overhead_model, backend)
-        if kernel is None and mode == "always":
-            raise EngineError(
-                f"manager {manager.name!r} (with this overhead model) has no "
-                "vectorised decision kernel"
-            )
-        if (
-            kernel is not None
-            and scenarios is not None
-            and not scenarios_vectorizable(system, scenarios)
-        ):
-            if mode == "always":
-                raise EngineError(
-                    "vectorised execution requires scenarios drawn for the "
-                    "system's quality set"
-                )
-            kernel = None  # the scalar loop handles foreign quality sets
-    accumulator = StreamingMetrics(deadlines)
-    mode_label = "vectorized" if kernel is not None else "scalar"
-    if _obs_enabled():
-        registry = _obs_registry()
-        registry.inc(f"engine.batches.{mode_label}.{type(manager).__name__}")
-        registry.inc(f"engine.cycles.{mode_label}", n_cycles)
-        registry.inc("engine.cycles.streamed", n_cycles)
-        if kernel is None:
-            registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
-    chunks = 0
-    peak_chunk_bytes = 0
-    start = 0
-    while start < n_cycles:
-        stop = min(start + chunk, n_cycles)
-        if scenarios is None:
-            batch = system.draw_scenarios(stop - start, generator)
-        else:
-            batch = scenarios[start:stop]
-        chunks += 1
-        if isinstance(batch, ScenarioBatch):
-            peak_chunk_bytes = max(peak_chunk_bytes, batch.nbytes())
-        if kernel is not None:
-            matrices = _scenario_tensor(system, batch)
-            qualities, completion, invoked, overheads = run_lockstep_arrays(
-                kernel, matrices, system.qualities.minimum
-            )
-            accumulator.update_chunk(qualities, completion, invoked, overheads)
-        else:
-            for scenario in batch:
-                accumulator.update_outcome(
-                    run_cycle(
-                        system,
-                        manager,
-                        scenario=scenario,
-                        overhead_model=overhead_model,
-                    )
-                )
-        start = stop
-    if _obs_enabled():
-        registry = _obs_registry()
-        registry.inc("engine.chunks", chunks)
-        registry.set("engine.peak_chunk_bytes", float(peak_chunk_bytes))
-    return accumulator
-
-
 def execute_cycles(
     system: ParameterizedSystem,
     manager: QualityManager,
@@ -565,36 +459,99 @@ def execute_cycles(
     overhead_model: OverheadModelProtocol | None = None,
     vectorize: object = "auto",
     backend: str | None = None,
-) -> tuple[CycleOutcome, ...] | StreamingMetrics:
-    """Run one solo execution, materialised or streamed.
+) -> tuple[tuple[CycleOutcome, ...], StreamingMetrics | None]:
+    """Run one solo execution and return ``(outcomes, summary)``.
 
-    The single call behind ``Session.run``, the serial ``compare`` /
-    ``run_many`` loops and the sweep workers: ``chunk_size=None`` returns
-    the per-cycle outcomes of :func:`~repro.core.engine.run_cycles_batch`,
-    a chunk size returns the :class:`StreamingMetrics` summary of
-    :func:`run_cycles_streamed` (which then needs ``deadlines``).  Either
-    way the metrics are bit-identical for the same inputs.
+    ``scenarios`` fixes the actual times of every cycle (a
+    :class:`~repro.core.timing.ScenarioBatch` is sliced zero-copy, a
+    sequence of per-cycle scenarios is accepted too); without them,
+    ``cycles`` scenarios are drawn chunk by chunk from ``rng`` (default
+    ``np.random.default_rng(0)``), bit-identical to the scalar loop's
+    per-cycle draws, sampler advancement included.
+
+    ``chunk_size=None`` materialises: the whole run is one chunk and
+    ``outcomes`` holds every cycle's trace.  A chunk size streams: the
+    outcomes are empty and only the summary is kept, which then needs
+    ``deadlines``.  The summary is the run's :class:`StreamingMetrics`
+    whenever ``deadlines`` are given (``None`` otherwise); its metrics are
+    bit-identical at any chunk size.  ``vectorize`` is ``"auto"`` (kernel
+    when available, scalar otherwise), ``"always"``/``True`` (raise without
+    a kernel) or ``"never"``/``False`` (scalar loop); ``backend`` names the
+    compute backend compiling the kernel.
     """
-    if chunk_size is None:
-        return run_cycles_batch(
-            system,
-            manager,
-            cycles,
-            scenarios=scenarios,
-            rng=rng,
-            overhead_model=overhead_model,
-            vectorize=vectorize,
-            backend=backend,
-        )
-    return run_cycles_streamed(
-        system,
+    materialise = chunk_size is None
+    if not materialise:
+        chunk = int(chunk_size)
+        if chunk < 1:
+            raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
+        if deadlines is None:
+            raise EngineError(
+                "a chunked run keeps only its StreamingMetrics summary, which "
+                "needs deadlines; pass deadlines= or chunk_size=None"
+            )
+    if scenarios is None:
+        if cycles is None:
+            raise EngineError("pass a cycle count or an explicit scenario batch")
+        n_cycles = int(cycles)
+        if n_cycles < 0:
+            raise EngineError(f"cycles must be >= 0, got {cycles}")
+        generator = rng if rng is not None else np.random.default_rng(0)
+    else:
+        if not isinstance(scenarios, ScenarioBatch):
+            scenarios = tuple(scenarios)
+        n_cycles = len(scenarios)
+        if cycles is not None and n_cycles != int(cycles):
+            raise EngineError(f"expected {cycles} scenarios, got {n_cycles}")
+    if materialise:
+        chunk = max(n_cycles, 1)
+    kernel = compile_decision_kernel(
         manager,
-        cycles,
-        deadlines=deadlines,
-        chunk_size=chunk_size,
+        overhead_model,
+        backend,
+        system=system,
         scenarios=scenarios,
-        rng=rng,
-        overhead_model=overhead_model,
         vectorize=vectorize,
-        backend=backend,
     )
+    summary = StreamingMetrics(deadlines) if deadlines is not None else None
+    fold = summary.update_chunk if summary is not None else None
+    outcomes: list[CycleOutcome] = []
+    peak_chunk_bytes = 0
+    for start in range(0, n_cycles, chunk):
+        count = min(chunk, n_cycles - start)
+        if scenarios is None:
+            batch = system.draw_scenarios(count, generator)
+        else:
+            batch = scenarios[start : start + count]
+        if isinstance(batch, ScenarioBatch):
+            peak_chunk_bytes = max(peak_chunk_bytes, batch.nbytes())
+        if kernel is None:
+            for scenario in batch:
+                outcome = run_cycle(
+                    system, manager, scenario=scenario, overhead_model=overhead_model
+                )
+                if summary is not None:
+                    summary.update_outcome(outcome)
+                if materialise:
+                    outcomes.append(outcome)
+        elif materialise:
+            outcomes.extend(
+                run_cycles_vectorized(system, manager, batch, kernel=kernel, sink=fold)
+            )
+        else:
+            fold(
+                *run_lockstep_arrays(
+                    kernel, _scenario_tensor(system, batch), system.qualities.minimum
+                )
+            )
+    if _obs_enabled():
+        path = "vectorized" if kernel is not None else "scalar"
+        registry = _obs_registry()
+        registry.inc(f"engine.batches.{path}.{type(manager).__name__}")
+        registry.inc(f"engine.cycles.{path}", n_cycles)
+        if kernel is None:
+            registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
+        if not materialise:
+            registry.inc("engine.cycles.streamed", n_cycles)
+            registry.inc("engine.chunks", len(range(0, n_cycles, chunk)))
+            registry.set("engine.peak_chunk_bytes", float(peak_chunk_bytes))
+    return tuple(outcomes), summary

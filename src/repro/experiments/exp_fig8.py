@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.compiler import QualityManagerCompiler
+from repro.api.session import Session
 from repro.media.workload import EncoderWorkload, paper_encoder
-from repro.platform.executor import PlatformExecutor
 from repro.platform.machine import Machine, ipod_video
 from repro.platform.tracing import per_action_overhead, relaxation_steps_used
 
@@ -97,12 +96,14 @@ def run_fig8_experiment(
     if not 1 <= lo < hi <= n:
         raise ValueError(f"invalid action window {lo}..{hi} for {n} actions")
 
-    compiled = QualityManagerCompiler().compile(system, deadlines)
-    executor = PlatformExecutor(machine if machine is not None else ipod_video())
-    managers = {"region": compiled.region, "relaxation": compiled.relaxation}
-    runs = executor.compare(
-        system, deadlines, managers, n_cycles=frame_index + 1, seed=seed
+    session = (
+        Session()
+        .system(system)
+        .deadlines(deadlines)
+        .machine(machine if machine is not None else ipod_video())
+        .seed(seed)
     )
+    runs = session.compare("region", "relaxation", cycles=frame_index + 1, chunk_size=None)
     region_outcome = runs["region"].outcomes[frame_index]
     relaxation_outcome = runs["relaxation"].outcomes[frame_index]
 

@@ -2,13 +2,13 @@
 
 Models everything the paper's bare-metal iPod target contributes to the
 experiments: the real-time clock, the per-invocation Quality-Manager overhead
-(the quantity symbolic management reduces), the profiling step that produces
-the ``C^av`` / ``C^wc`` estimates, and the executor that runs controlled
-software while charging overhead.
+(the quantity symbolic management reduces) and the profiling step that
+produces the ``C^av`` / ``C^wc`` estimates.  Controlled software runs on a
+machine through the facade: ``Session().machine(...)`` deploys the system and
+charges the machine's overhead model plus its clock read on every call.
 """
 
 from .clock import VirtualClock
-from .executor import CycleStatistics, PlatformExecutor, RunResult
 from .machine import Machine, desktop, fast_embedded, ipod_video
 from .overhead import (
     DESKTOP_LIKE,
@@ -39,9 +39,6 @@ __all__ = [
     "IPOD_LIKE",
     "FAST_EMBEDDED",
     "DESKTOP_LIKE",
-    "PlatformExecutor",
-    "RunResult",
-    "CycleStatistics",
     "Profiler",
     "ProfileReport",
     "ExecutionEvent",

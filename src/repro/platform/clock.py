@@ -10,8 +10,9 @@ loop:
   observes a quantised (floored) version of the true elapsed time;
 * *read overhead* — each clock read costs a small amount of time.
 
-Both default to zero (an ideal clock).  The executor reads the clock once per
-manager invocation.
+Both default to zero (an ideal clock).  A run on a machine reads the clock
+once per manager invocation, and the read cost is charged with the manager's
+overhead.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ class VirtualClock:
         Tick size of the clock; reads are floored to a multiple of it.
         ``0`` means a perfectly continuous clock.
     read_overhead:
-        Time consumed by each read (charged by the executor).
+        Time consumed by each read (charged with the manager's overhead).
     """
 
     __slots__ = ("_now", "_granularity", "_read_overhead", "_reads")
@@ -78,8 +79,8 @@ class VirtualClock:
         """Read the clock as the software would see it.
 
         The returned value is quantised to the clock granularity.  The read
-        overhead is *not* applied here (the executor charges it explicitly so
-        it shows up in the overhead accounting).
+        overhead is *not* applied here (the run charges it explicitly so it
+        shows up in the overhead accounting).
         """
         self._reads += 1
         if self._granularity <= 0.0:

@@ -41,7 +41,6 @@ from repro.obs.metrics import registry as obs_registry
 from repro.obs.state import enabled as obs_enabled
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
 from repro.core.streaming import execute_cycles
-from repro.core.system import CycleOutcome
 from repro.core.timing import supports_replay
 
 from .artifacts import CompiledArtifactCache
@@ -109,13 +108,16 @@ class SweepOutcome:
 
     ``manager_names`` holds each executed manager's reporting name (needed by
     ``compare``, whose final labels are manager names, not spec strings).
-    When the plan's payload carries a streaming ``chunk_size``, each entry of
-    ``outcomes`` is a :class:`~repro.core.streaming.StreamingMetrics` summary
-    instead of a tuple of :class:`~repro.core.system.CycleOutcome` traces.
+    Each entry of ``outcomes`` is the solo driver's ``(outcomes, summary)``
+    pair (:func:`~repro.core.streaming.execute_cycles`): the
+    :class:`~repro.core.system.CycleOutcome` traces (empty when the plan's
+    payload carries a streaming ``chunk_size``) and the
+    :class:`~repro.core.streaming.StreamingMetrics` summary.  A fleet unit's
+    entry is its per-member ``(label, manager_name, summary)`` records.
     """
 
     plan: SweepPlan
-    outcomes: dict[int, tuple[CycleOutcome, ...]] = field(default_factory=dict)
+    outcomes: dict[int, tuple] = field(default_factory=dict)
     manager_names: dict[int, str] = field(default_factory=dict)
     failures: tuple[UnitFailure, ...] = ()
 
@@ -205,16 +207,17 @@ class _WorkerRuntime:
             )
 
     def execute(self, unit: SweepUnit) -> tuple[str, object]:
-        """Run one unit and return ``(manager_name, outcomes-or-summary)``.
+        """Run one unit and return ``(manager_name, (outcomes, summary))``.
 
         Units run through :func:`~repro.core.streaming.execute_cycles`, the
         same solo call as the serial baseline: vectorised when the unit's
-        manager lowers to a decision kernel, scalar otherwise, and streamed
-        into a :class:`~repro.core.streaming.StreamingMetrics` summary
-        (constant worker memory, a few hundred bytes over the wire) when the
-        payload carries a ``chunk_size``.  Shipped scenario batches are
-        validated against the hydrated system first; draw and re-draw units
-        position the sampler stream and draw their own batch.
+        manager lowers to a decision kernel, scalar otherwise, and folded
+        into a :class:`~repro.core.streaming.StreamingMetrics` summary.  When
+        the payload carries a ``chunk_size`` only the summary comes back
+        (constant worker memory, a few hundred bytes over the wire).
+        Shipped scenario batches are validated against the hydrated system
+        first; draw and re-draw units position the sampler stream and draw
+        their own batch.
         """
         if unit.fleet is not None:
             return self._execute_fleet(unit)
@@ -344,7 +347,7 @@ def collect_outcome(plan: SweepPlan, records: Sequence[tuple], *, on_error: str)
     traceback)`` tuples workers produce, in any order.  ``on_error="raise"``
     raises a collective :class:`SweepExecutionError` when any unit failed.
     """
-    outcomes: dict[int, tuple[CycleOutcome, ...]] = {}
+    outcomes: dict[int, tuple] = {}
     names: dict[int, str] = {}
     failures: list[UnitFailure] = []
     for index, success, head, tail in records:

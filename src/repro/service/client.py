@@ -288,13 +288,15 @@ class ServiceClient:
         machine_name = payload.machine.name if payload.machine is not None else None
         runs: dict[str, RunResult] = {}
         for unit in plan.units:
+            outcomes, summary = outcome.outcomes[unit.index]
             runs[unit.label] = RunResult(
                 manager_key=unit.manager.key,
                 manager_name=outcome.manager_names[unit.index],
-                outcomes=outcome.outcomes[unit.index],
+                outcomes=outcomes,
                 deadlines=payload.deadlines,
                 seed=unit.seed,
                 machine_name=machine_name,
+                summary=summary,
             )
         return BatchResult(runs=runs)
 

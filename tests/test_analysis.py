@@ -22,8 +22,8 @@ from repro.analysis import (
     sparkline,
     sweep_table,
 )
+from repro.api import Session
 from repro.core import QualityManagerCompiler, SpeedDiagram, run_cycle
-from repro.platform import PlatformExecutor, ipod_video
 
 from helpers import make_deadline, make_synthetic_system
 
@@ -38,8 +38,14 @@ def setup():
     controllers = QualityManagerCompiler(relaxation_steps=(1, 2, 4, 8, 16)).compile(
         system, deadlines
     )
-    executor = PlatformExecutor(ipod_video())
-    results = executor.compare(system, deadlines, controllers.managers(), n_cycles=3, seed=0)
+    session = (
+        Session()
+        .system(system)
+        .deadlines(deadlines)
+        .relaxation_steps(1, 2, 4, 8, 16)
+        .machine("ipod")
+    )
+    results = session.compare(cycles=3, seed=0).runs
     return system, deadlines, controllers, results
 
 

@@ -309,23 +309,46 @@ class TestRunLayer:
         # numeric and region managers make identical choices, so durations match
         np.testing.assert_array_equal(durations["numeric"], durations["region"])
 
-    def test_compare_matches_platform_executor(self):
-        """The facade reproduces the pre-facade executor numbers bit-exactly."""
+    def test_compare_matches_scalar_reference(self):
+        """The facade reproduces a hand-wired scalar platform run bit-exactly.
+
+        The reference deploys the system on the iPod by hand, charges its
+        overhead parameters plus one clock read per call, draws the shared
+        scenarios once and runs every manager through the per-cycle
+        ``run_cycle`` loop — none of the facade, the vectorised engine or
+        the run driver.
+        """
         from repro.analysis import compute_metrics
-        from repro.core import QualityManagerCompiler
+        from repro.core import QualityManagerCompiler, run_cycle
         from repro.media import small_encoder
-        from repro.platform import PlatformExecutor, ipod_video
+        from repro.platform import LinearOverheadModel, OverheadParameters, ipod_video
 
         workload = small_encoder(seed=0, n_frames=2)
         system = workload.build_system()
         deadlines = workload.deadlines()
         compiled = QualityManagerCompiler().compile(system, deadlines)
-        old = PlatformExecutor(ipod_video()).compare(
-            system, deadlines, compiled.managers(), n_cycles=2, seed=1
+        machine = ipod_video()
+        deployed = machine.deploy(system)
+        params = machine.overhead
+        charged = OverheadParameters(
+            per_call=params.per_call + machine.clock_read_overhead,
+            per_arithmetic_op=params.per_arithmetic_op,
+            per_comparison=params.per_comparison,
+            per_table_lookup=params.per_table_lookup,
         )
+        scenarios = deployed.draw_scenarios(2, np.random.default_rng(1))
         new = Session().system(workload).machine("ipod").compare(cycles=2, seed=1)
-        for name in ("numeric", "region", "relaxation"):
-            assert compute_metrics(old[name].outcomes, deadlines) == new[name].metrics
+        for name, manager in compiled.managers().items():
+            model = LinearOverheadModel(charged)
+            old = [
+                run_cycle(deployed, manager, scenario=scenario, overhead_model=model)
+                for scenario in scenarios
+            ]
+            assert compute_metrics(old, deadlines) == new[name].metrics
+            for left, right in zip(old, new[name].outcomes):
+                assert np.array_equal(left.qualities, right.qualities)
+                assert np.array_equal(left.completion_times, right.completion_times)
+                assert np.array_equal(left.manager_overheads, right.manager_overheads)
 
     def test_run_many_determinism_and_labels(self, system, deadlines):
         def sweep():

@@ -11,7 +11,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import compute_metrics
+from repro.api import Session
 from repro.api.registry import BuildContext, available_managers, build_manager
+from repro.api.results import RunResult
 from repro.core import (
     BackendError,
     EngineError,
@@ -19,15 +22,15 @@ from repro.core import (
     QualityManager,
     QualityManagerCompiler,
     QualitySet,
+    StreamingMetrics,
     available_backends,
     backend_available,
     compile_decision_kernel,
     compute_td_table,
     get_backend,
     registered_backends,
+    execute_cycles,
     run_cycle,
-    run_cycles_batch,
-    run_cycles_streamed,
     run_cycles_vectorized,
     run_fixed_quality,
     run_fixed_quality_batch,
@@ -56,6 +59,27 @@ def assert_outcomes_identical(scalar, vectorized):
         for field in _OUTCOME_FIELDS:
             a, b = getattr(left, field), getattr(right, field)
             assert np.array_equal(a, b), f"cycle {index}: {field} differs"
+
+
+def assert_summary_matches_outcomes(outcomes, summary, deadlines):
+    """The driver's folded summary is the outcomes' own metrics and histogram.
+
+    A materialised :class:`RunResult` reads its metrics from the summary;
+    they must equal :func:`compute_metrics` over the outcomes bit for bit,
+    and the summary's quality histogram must count the outcomes' levels.
+    """
+    result = RunResult(
+        manager_key="m",
+        manager_name="m",
+        outcomes=outcomes,
+        deadlines=deadlines,
+        summary=summary,
+    )
+    assert result.metrics == compute_metrics(outcomes, deadlines)
+    levels, counts = np.unique(
+        np.concatenate([outcome.qualities for outcome in outcomes]), return_counts=True
+    )
+    assert summary.quality_level_counts == dict(zip(levels.tolist(), counts.tolist()))
 
 
 class StatefulCharge:
@@ -118,8 +142,9 @@ class TestParityGrid:
     def test_every_registered_manager_is_bit_identical(
         self, setup, key, model_index, backend
     ):
-        """Vectorised (or fallen-back) outcomes equal the scalar loop exactly."""
-        system, _, context = setup
+        """Vectorised (or fallen-back) outcomes equal the scalar loop exactly,
+        and the run's folded summary equals the outcomes' metrics."""
+        system, deadlines, context = setup
         model = _overhead_models()[model_index]
         manager = build_manager(key, context)
         rng = np.random.default_rng(17)
@@ -129,10 +154,16 @@ class TestParityGrid:
             run_cycle(system, manager, scenario=s, overhead_model=model)
             for s in scenarios
         ]
-        batch = run_cycles_batch(
-            system, manager, scenarios=scenarios, overhead_model=model, backend=backend
+        batch, summary = execute_cycles(
+            system,
+            manager,
+            scenarios=scenarios,
+            deadlines=deadlines,
+            overhead_model=model,
+            backend=backend,
         )
         assert_outcomes_identical(scalar, batch)
+        assert_summary_matches_outcomes(batch, summary, deadlines)
 
     @pytest.mark.parametrize(
         "key", ("numeric", "skip", "feedback", "elastic", "dvfs", "multitask", "linear-approx")
@@ -150,9 +181,9 @@ class TestParityGrid:
             run_cycle(system, manager, scenario=s, overhead_model=model)
             for s in scenarios
         ]
-        batch = run_cycles_batch(
+        batch = execute_cycles(
             system, manager, scenarios=scenarios, overhead_model=model
-        )
+        )[0]
         assert_outcomes_identical(scalar, batch)
 
     @pytest.mark.parametrize("steps", [(1,), (2,), (1, 3, 7, 12), (1, 10, 20, 30, 40, 50)])
@@ -207,9 +238,9 @@ class TestParityGrid:
         scalar = [
             run_cycle(system, manager, rng=scalar_rng) for _ in range(5)
         ]
-        batch = run_cycles_batch(
+        batch = execute_cycles(
             system, manager, 5, rng=np.random.default_rng(23)
-        )
+        )[0]
         assert_outcomes_identical(scalar, batch)
 
 
@@ -412,7 +443,7 @@ class TestKernelCompilation:
 
     def test_manager_without_lowering_falls_back(self, setup):
         """A decide()-only subclass has no spec and runs through the scalar loop."""
-        system, _, context = setup
+        system, deadlines, context = setup
 
         class OpaqueManager(QualityManager):
             name = "opaque"
@@ -438,11 +469,37 @@ class TestKernelCompilation:
             run_cycle(system, build_manager("region", context), scenario=s)
             for s in scenarios
         ]
-        batch = run_cycles_batch(system, manager, scenarios=scenarios)
+        batch, summary = execute_cycles(
+            system, manager, scenarios=scenarios, deadlines=deadlines
+        )
         assert_outcomes_identical(scalar, batch)
+        assert_summary_matches_outcomes(batch, summary, deadlines)
+
+    def test_materialised_vectorised_run_never_folds_per_outcome(
+        self, setup, monkeypatch
+    ):
+        """A vectorised materialised run folds its arrays through update_chunk."""
+        system, deadlines, _ = setup
+
+        def per_outcome_fold(self, outcome):
+            raise AssertionError("a vectorised run folded one outcome at a time")
+
+        monkeypatch.setattr(StreamingMetrics, "update_outcome", per_outcome_fold)
+        for key in available_managers():
+            result = (
+                Session()
+                .system(system)
+                .deadlines(deadlines)
+                .overhead("ipod")
+                .manager(key)
+                .run(cycles=5, chunk_size=None)
+            )
+            assert len(result.outcomes) == 5 and result.summary is not None
+            assert result.metrics.n_cycles == 5, key
+            assert sum(result.quality_histogram.values()) == 5 * system.n_actions
 
     def test_scalar_fallback_counter_emitted(self, setup, tmp_path, monkeypatch):
-        """run_cycles_batch labels scalar fallbacks with the manager class."""
+        """The run driver labels scalar fallbacks with the manager class."""
         from repro.obs import metrics, reset_enabled
 
         system, _, context = setup
@@ -453,10 +510,10 @@ class TestKernelCompilation:
         try:
             manager = build_manager("region", context)
             scenarios = system.draw_scenarios(2, np.random.default_rng(0))
-            run_cycles_batch(
+            execute_cycles(
                 system, manager, scenarios=scenarios, overhead_model=StatefulCharge()
             )
-            run_cycles_batch(system, manager, scenarios=scenarios)
+            execute_cycles(system, manager, scenarios=scenarios)
             snap = metrics.registry().snapshot()["metrics"]
             fallback = snap["engine.scalar_fallback.RegionQualityManager"]
             assert fallback == {"kind": "counter", "value": 1}
@@ -478,9 +535,9 @@ class TestKernelCompilation:
             run_cycle(system, manager, scenario=s, overhead_model=scalar_model)
             for s in scenarios
         ]
-        batch = run_cycles_batch(
+        batch = execute_cycles(
             system, manager, scenarios=scenarios, overhead_model=batch_model
-        )
+        )[0]
         assert_outcomes_identical(scalar, batch)
         assert batch_model.calls == scalar_model.calls
 
@@ -490,7 +547,7 @@ class TestKernelCompilation:
         system, _, context = setup
         manager = build_manager("numeric", context)
         with pytest.raises(EngineError):
-            run_cycles_batch(
+            execute_cycles(
                 system,
                 manager,
                 2,
@@ -503,12 +560,12 @@ class TestKernelCompilation:
         system, _, context = setup
         manager = build_manager("relaxation", context)
         scenarios = system.draw_scenarios(4, np.random.default_rng(1))
-        never = run_cycles_batch(
+        never = execute_cycles(
             system, manager, scenarios=scenarios, vectorize="never"
-        )
-        always = run_cycles_batch(
+        )[0]
+        always = execute_cycles(
             system, manager, scenarios=scenarios, vectorize="always"
-        )
+        )[0]
         assert_outcomes_identical(never, always)
 
     def test_mode_coercion(self):
@@ -518,6 +575,33 @@ class TestKernelCompilation:
         assert coerce_vectorize_mode("auto") == "auto"
         with pytest.raises(EngineError):
             coerce_vectorize_mode("sometimes")
+
+    def test_direct_vectorised_call_validates_its_batch(self, setup):
+        """run_cycles_vectorized refuses what it cannot run, and runs nothing on nothing."""
+        from repro.core.timing import ScenarioBatch
+
+        system, _, context = setup
+        manager = build_manager("region", context)
+        assert run_cycles_vectorized(system, manager, []) == ()
+        with pytest.raises(EngineError, match="execute_cycles"):
+            run_cycles_vectorized(
+                system, manager, [], overhead_model=StatefulCharge()
+            )
+        short = make_synthetic_system(n_actions=7, n_levels=5, seed=3)
+        with pytest.raises(ValueError, match="actions"):
+            run_cycles_vectorized(
+                system, manager, short.draw_scenarios(2, np.random.default_rng(0))
+            )
+        native = system.draw_scenarios(2, np.random.default_rng(0))
+        wide_levels = QualitySet.of_size(len(system.qualities) + 2)
+        wide = ScenarioBatch(
+            wide_levels,
+            np.concatenate([native.tensor, native.tensor[:, -2:]], axis=1),
+        )
+        with pytest.raises(EngineError, match="quality set"):
+            run_cycles_vectorized(system, manager, wide)
+        with pytest.raises(EngineError, match="quality set"):
+            run_cycles_vectorized(system, manager, list(wide))
 
     def test_scenario_shape_validated(self, setup):
         system, _, context = setup
@@ -539,10 +623,10 @@ class TestKernelCompilation:
             np.vstack([native.matrix, native.matrix[-1:], native.matrix[-1:]]),
         )
         scalar = [run_cycle(system, manager, scenario=wide)]
-        batch = run_cycles_batch(system, manager, scenarios=[wide])
+        batch = execute_cycles(system, manager, scenarios=[wide])[0]
         assert_outcomes_identical(scalar, batch)
         with pytest.raises(EngineError):
-            run_cycles_batch(
+            execute_cycles(
                 system, manager, scenarios=[wide], vectorize="always"
             )
 
@@ -683,7 +767,7 @@ class TestBackends:
         system, deadlines, context = setup
         manager = build_manager("region", context)
         with pytest.raises(BackendError, match="not available"):
-            run_cycles_batch(
+            execute_cycles(
                 system,
                 manager,
                 2,
@@ -691,7 +775,7 @@ class TestBackends:
                 backend=unavailable_backend,
             )
         with pytest.raises(BackendError, match="not available"):
-            run_cycles_streamed(
+            execute_cycles(
                 system,
                 manager,
                 2,
@@ -714,10 +798,10 @@ class TestBackends:
         system, _, context = setup
         manager = build_manager("relaxation", context)
         scenarios = system.draw_scenarios(5, np.random.default_rng(6))
-        default = run_cycles_batch(system, manager, scenarios=scenarios)
-        explicit = run_cycles_batch(
+        default = execute_cycles(system, manager, scenarios=scenarios)[0]
+        explicit = execute_cycles(
             system, manager, scenarios=scenarios, backend="numpy"
-        )
+        )[0]
         assert_outcomes_identical(default, explicit)
 
 

@@ -63,9 +63,9 @@ def make_member(
 
 def solo_summary(member: FleetMember):
     """The member's summary from a solo streamed run (the parity baseline)."""
-    from repro.core.streaming import run_cycles_streamed
+    from repro.core.streaming import execute_cycles
 
-    return run_cycles_streamed(
+    return execute_cycles(
         member.system,
         member.manager,
         member.cycles,
@@ -76,7 +76,7 @@ def solo_summary(member: FleetMember):
         overhead_model=member.overhead_model,
         vectorize=member.vectorize,
         backend=member.backend,
-    )
+    )[1]
 
 
 class OpaqueManager(QualityManager):

@@ -24,7 +24,7 @@ import pytest
 from repro.api import Session
 from repro.api.registry import available_managers
 from repro.core.fleet import FleetMember, run_fleet
-from repro.core.streaming import run_cycles_streamed
+from repro.core.streaming import execute_cycles
 
 from helpers import make_deadline, make_synthetic_system
 
@@ -96,7 +96,7 @@ def case_members(case: int) -> list[FleetMember]:
 
 def solo_baseline(member: FleetMember):
     """The member's summary from its own solo streamed run."""
-    return run_cycles_streamed(
+    return execute_cycles(
         member.system,
         member.manager,
         member.cycles,
@@ -106,7 +106,7 @@ def solo_baseline(member: FleetMember):
         overhead_model=member.overhead_model,
         vectorize=member.vectorize,
         backend=member.backend,
-    )
+    )[1]
 
 
 def assert_case_parity(case: int) -> None:

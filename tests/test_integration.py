@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import compute_metrics, metrics_report, render_speed_diagram
-from repro.baselines import ConstantQualityManager, ElasticQualityManager
+from repro.api import Session
 from repro.core import (
     ControlledSystem,
     QualityManagerCompiler,
@@ -19,7 +19,7 @@ from repro.core import (
     audit_trace,
 )
 from repro.media import small_encoder
-from repro.platform import PlatformExecutor, Profiler, desktop, ipod_video
+from repro.platform import Profiler
 
 
 class TestFullToolchain:
@@ -36,14 +36,13 @@ class TestFullToolchain:
         assert controllers.report.region_integers == system.n_actions * 7
 
         # 2. run on the iPod-like platform, identical scenarios across managers
-        executor = PlatformExecutor(ipod_video())
-        results = executor.compare(
-            system, deadlines, controllers.managers(), n_cycles=3, seed=0
-        )
+        session = Session().system(system).deadlines(deadlines).machine("ipod")
+        results = session.compare("numeric", "region", "relaxation", cycles=3, seed=0)
 
         # 3. audit every trace
-        for result in results.values():
+        for result in results.runs.values():
             assert result.all_deadlines_met
+            assert all(audit_trace(outcome, deadlines).is_safe for outcome in result.outcomes)
 
         # 4. the paper's headline shape
         assert (
@@ -56,8 +55,9 @@ class TestFullToolchain:
         # 5. reports render
         metrics = {
             name: compute_metrics(result.outcomes, deadlines)
-            for name, result in results.items()
+            for name, result in results.runs.items()
         }
+        assert metrics == results.metrics
         report = metrics_report(metrics)
         assert "numeric" in report and "relaxation" in report
 
@@ -94,41 +94,38 @@ class TestFullToolchain:
         wastes budget or misses deadlines, the adaptive manager does neither."""
         system = workload.build_system()
         deadlines = workload.deadlines()
-        controllers = QualityManagerCompiler().compile(system, deadlines)
-        executor = PlatformExecutor(ipod_video())
         qualities = system.qualities
+        session = Session().system(system).deadlines(deadlines).machine("ipod")
+        results = session.compare(
+            "relaxation",
+            f"constant:level={qualities.minimum}",
+            f"constant:level={qualities.maximum}",
+            "elastic",
+            cycles=3,
+            seed=7,
+        )
+        adaptive, static_low, _, elastic = results.runs.values()
 
-        managers = {
-            "adaptive": controllers.relaxation,
-            "static-low": ConstantQualityManager(qualities, qualities.minimum),
-            "static-high": ConstantQualityManager(qualities, qualities.maximum),
-            "elastic": ElasticQualityManager(system, deadlines),
-        }
-        results = executor.compare(system, deadlines, managers, n_cycles=3, seed=7)
-
-        adaptive = results["adaptive"]
         assert adaptive.all_deadlines_met
         # static low quality is safe but wastes quality
-        assert results["static-low"].all_deadlines_met
-        assert adaptive.mean_quality > results["static-low"].mean_quality
+        assert static_low.all_deadlines_met
+        assert adaptive.mean_quality > static_low.mean_quality
         # worst-case-only elastic compression is safe but below the adaptive manager
-        assert results["elastic"].all_deadlines_met
-        assert adaptive.mean_quality >= results["elastic"].mean_quality
+        assert elastic.all_deadlines_met
+        assert adaptive.mean_quality >= elastic.mean_quality
 
     def test_platform_speed_changes_quality_not_safety(self, workload):
         """On a much faster platform the manager picks higher qualities; on
         both platforms it stays safe."""
         system = workload.build_system()
         deadlines = workload.deadlines()
-        controllers = QualityManagerCompiler().compile(system, deadlines)
-        slow_result = PlatformExecutor(ipod_video()).run(
-            system, deadlines, controllers.region, n_cycles=2, rng=np.random.default_rng(0)
+        slow_result = (
+            Session().system(system).deadlines(deadlines).machine("ipod")
+            .manager("region").run(cycles=2)
         )
-        fast_system = system.rescaled(0.25)
-        fast_controllers = QualityManagerCompiler().compile(fast_system, deadlines)
-        fast_result = PlatformExecutor(desktop()).run(
-            fast_system, deadlines, fast_controllers.region, n_cycles=2,
-            rng=np.random.default_rng(0),
+        fast_result = (
+            Session().system(system.rescaled(0.25)).deadlines(deadlines)
+            .machine("desktop").manager("region").run(cycles=2)
         )
         assert slow_result.all_deadlines_met
         assert fast_result.all_deadlines_met

@@ -6,7 +6,8 @@ parameterized systems, deadlines and actual-time draws:
 * safety of the mixed policy under any admissible actual-time function;
 * equivalence of the numeric, region and relaxation managers;
 * both on the scalar, vectorised, streamed (chunk sizes 1, 7 and the
-  default) and fleet paths;
+  default) and fleet paths, and through the process pool with either
+  scenario transport;
 * structural monotonicity of ``t^D``;
 * Proposition 1 (speed characterisation) and Proposition 2 (region
   characterisation);
@@ -21,6 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import Session
 from repro.core import (
     ActualTimeScenario,
     DeadlineFunction,
@@ -32,9 +34,8 @@ from repro.core import (
     check_relaxation_containment,
     check_td_structure,
     compute_td_table,
+    execute_cycles,
     run_cycle,
-    run_cycles_batch,
-    run_cycles_streamed,
 )
 from repro.core.fleet import DEFAULT_FLEET_CHUNK, FleetMember, run_fleet
 from repro.core.timing import ScenarioBatch
@@ -50,6 +51,46 @@ _SETTINGS = settings(
 # --------------------------------------------------------------------------- #
 # strategies
 # --------------------------------------------------------------------------- #
+class UniformScaleSampler:
+    """Actual times: the averages scaled by one uniform factor per action.
+
+    Every draw lies within ``C^wc = wc_ratio * C^av``.  The sampler is
+    stateless and picklable, so pool workers can rebuild it; a stateless
+    stream reads the same from every position, which makes ``seek`` a
+    no-op and lets the redraw transport replay it.
+    """
+
+    cursor = 0
+
+    def __init__(self, average: np.ndarray, wc_ratio: float) -> None:
+        self.average = average
+        self.wc_ratio = wc_ratio
+
+    def seek(self, position: int) -> None:
+        """Nothing to re-position: every position draws alike."""
+
+    def __call__(self, generator: np.random.Generator) -> np.ndarray:
+        n_actions = self.average.shape[1]
+        return self.average * generator.uniform(0.0, self.wc_ratio, size=(1, n_actions))
+
+
+def random_system(
+    seed: int, n_actions: int, n_levels: int, wc_ratio: float
+) -> ParameterizedSystem:
+    """A random small parameterized system satisfying Definition 1."""
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(0.1, 2.0, size=n_actions)
+    increments = rng.uniform(0.0, 1.0, size=(n_levels, n_actions))
+    average = base[None, :] * (1.0 + np.cumsum(increments, axis=0))
+    return ParameterizedSystem.from_tables(
+        [f"a{i}" for i in range(1, n_actions + 1)],
+        QualitySet.of_size(n_levels),
+        average * wc_ratio,
+        average,
+        scenario_sampler=UniformScaleSampler(average, wc_ratio),
+    )
+
+
 @st.composite
 def parameterized_systems(draw, min_actions: int = 3, max_actions: int = 25):
     """Random small parameterized systems satisfying Definition 1."""
@@ -57,23 +98,7 @@ def parameterized_systems(draw, min_actions: int = 3, max_actions: int = 25):
     n_levels = draw(st.integers(1, 5))
     seed = draw(st.integers(0, 2**16))
     wc_ratio = draw(st.floats(1.0, 3.0))
-    rng = np.random.default_rng(seed)
-    base = rng.uniform(0.1, 2.0, size=n_actions)
-    increments = rng.uniform(0.0, 1.0, size=(n_levels, n_actions))
-    average = base[None, :] * (1.0 + np.cumsum(increments, axis=0))
-    worst = average * wc_ratio
-    qualities = QualitySet.of_size(n_levels)
-
-    def sampler(generator: np.random.Generator) -> np.ndarray:
-        return average * generator.uniform(0.0, wc_ratio, size=(1, n_actions))
-
-    return ParameterizedSystem.from_tables(
-        [f"a{i}" for i in range(1, n_actions + 1)],
-        qualities,
-        worst,
-        average,
-        scenario_sampler=sampler,
-    )
+    return random_system(seed, n_actions, n_levels, wc_ratio)
 
 
 @st.composite
@@ -120,7 +145,7 @@ STREAM_CHUNKS = (1, 7, DEFAULT_FLEET_CHUNK)
 def assert_vectorised_paths_match_numeric(system, deadlines, controllers, scenario):
     """Safety and equivalence on the vectorised, fleet and streamed paths.
 
-    ``run_cycles_batch`` must choose the numeric manager's quality rows and
+    ``execute_cycles`` must choose the numeric manager's quality rows and
     pass the trace audit; ``run_fleet`` over numeric, region and relaxation
     (scenario shipped by value) must reproduce numeric's quality histogram
     with no deadline miss.  Streamed at each of :data:`STREAM_CHUNKS` over a
@@ -134,7 +159,7 @@ def assert_vectorised_paths_match_numeric(system, deadlines, controllers, scenar
     histogram = dict(zip(levels.tolist(), counts.tolist()))
     managers = (controllers.numeric, controllers.region, controllers.relaxation)
     for manager in managers:
-        (outcome,) = run_cycles_batch(system, manager, scenarios=[scenario])
+        (outcome,) = execute_cycles(system, manager, scenarios=[scenario])[0]
         assert np.array_equal(outcome.qualities, reference.qualities), manager.name
         assert audit_trace(outcome, deadlines).is_safe, manager.name
     members = [
@@ -161,9 +186,9 @@ def assert_vectorised_paths_match_numeric(system, deadlines, controllers, scenar
     histogram = dict(zip(levels.tolist(), counts.tolist()))
     for manager in managers:
         for chunk in STREAM_CHUNKS:
-            summary = run_cycles_streamed(
+            summary = execute_cycles(
                 system, manager, deadlines=deadlines, chunk_size=chunk, scenarios=batch
-            )
+            )[1]
             label = f"{manager.name}, chunk {chunk}"
             assert summary.metrics().deadline_misses == 0, label
             assert summary.quality_level_counts == histogram, label
@@ -229,6 +254,33 @@ class TestEquivalenceProperty:
         reference = run_cycle(system, controllers.numeric, scenario=scenario)
         outcome = run_cycle(system, manager, scenario=scenario)
         assert np.array_equal(outcome.qualities, reference.qualities)
+
+
+class TestPoolPathContracts:
+    """Safety and equivalence through the process pool, both transports."""
+
+    @pytest.mark.parametrize("transport", ["value", "redraw"])
+    def test_pool_compare_is_safe_and_equivalent(self, transport, tmp_path):
+        for seed, n_actions, n_levels in ((3, 9, 3), (11, 17, 4), (29, 24, 5)):
+            system = random_system(seed, n_actions, n_levels, wc_ratio=1.8)
+            total = system.worst_case.total(1, n_actions, system.qualities.minimum)
+            middle = system.worst_case.total(1, n_actions // 2, system.qualities.minimum)
+            deadlines = DeadlineFunction({n_actions // 2: middle * 1.4, n_actions: total * 1.4})
+            session = (
+                Session()
+                .system(system)
+                .deadlines(deadlines)
+                .artifacts(tmp_path / "artifacts")
+                .parallel(workers=2, scenario_transport=transport)
+            )
+            batch = session.compare("numeric", "region", "relaxation", cycles=6, seed=seed)
+            assert batch.labels == ("numeric", "region", "relaxation")
+            for label in batch:
+                assert batch[label].n_cycles == 6, (seed, label)
+                assert batch[label].deadline_misses == 0, (seed, label)
+            numeric = batch["numeric"].quality_values
+            for label in ("region", "relaxation"):
+                assert np.array_equal(batch[label].quality_values, numeric), (seed, label)
 
 
 class TestStructuralProperties:
@@ -392,12 +444,12 @@ class TestMergeAlgebraProperties:
     def test_streaming_merge_is_commutative(self, data):
         """``a.merge(b)`` equals ``b.merge(a)`` bit-for-bit: every float fold
         is a single commutative addition (or max) at the merge boundary."""
-        from repro.core import StreamingMetrics, run_cycles_batch
+        from repro.core import StreamingMetrics, execute_cycles
 
         system, deadlines = data.draw(systems_with_deadlines(feasible=True))
         controllers = QualityManagerCompiler().compile(system, deadlines)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        outcomes = run_cycles_batch(system, controllers.numeric, 6, rng=rng)
+        outcomes = execute_cycles(system, controllers.numeric, 6, rng=rng)[0]
 
         def accumulate(slice_):
             acc = StreamingMetrics(deadlines)
@@ -417,12 +469,12 @@ class TestMergeAlgebraProperties:
     def test_zero_cycle_folds_are_identity(self, data):
         """Padding chunks (zero real cycles) must never move a summary —
         neither folded as empty arrays nor merged as empty accumulators."""
-        from repro.core import StreamingMetrics, run_cycles_batch
+        from repro.core import StreamingMetrics, execute_cycles
 
         system, deadlines = data.draw(systems_with_deadlines(feasible=True))
         controllers = QualityManagerCompiler().compile(system, deadlines)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
-        outcomes = run_cycles_batch(system, controllers.numeric, 4, rng=rng)
+        outcomes = execute_cycles(system, controllers.numeric, 4, rng=rng)[0]
         acc = StreamingMetrics(deadlines)
         for outcome in outcomes:
             acc.update_outcome(outcome)

@@ -28,8 +28,8 @@ from repro.core import (
     ParameterizedSystem,
     QualitySet,
     ScenarioBatch,
+    execute_cycles,
     run_cycle,
-    run_cycles_batch,
 )
 from repro.core.types import InvalidTimingError
 from repro.media import paper_encoder, small_encoder
@@ -314,13 +314,13 @@ class TestScenarioBatchViews:
         assert len(run_fixed_quality_batch(system, 1, batch)) == len(batch)
 
     def test_per_cycle_consumers_accept_views(self):
-        """run_cycle and run_cycles_batch consume views / batches unchanged."""
+        """run_cycle and execute_cycles consume views / batches unchanged."""
         system, batch = self._batch()
         from repro.api.registry import BuildContext, build_manager
 
         context = BuildContext.create(system, make_deadline(system))
         manager = build_manager("region", context)
-        vector = run_cycles_batch(system, manager, scenarios=batch)
+        vector = execute_cycles(system, manager, scenarios=batch)[0]
         scalar = tuple(run_cycle(system, manager, scenario=view) for view in batch)
         for left, right in zip(scalar, vector):
             for field in _OUTCOME_FIELDS:

@@ -289,9 +289,8 @@ def test_two_tenant_flood_neither_starves_and_quota_holds(tmp_path):
     for executor, plan, plan_id, _, records in sweeps:
         outcome = collect_outcome(plan, records, on_error="raise")
         for unit in plan.units:
-            assert _outcomes_equal(
-                outcome.outcomes[unit.index], serial[unit.label].outcomes
-            ), unit.label
+            outcomes, _ = outcome.outcomes[unit.index]
+            assert _outcomes_equal(outcomes, serial[unit.label].outcomes), unit.label
 
 
 # --------------------------------------------------------------------------- #

@@ -23,8 +23,7 @@ from repro.core import (
     QuantileSketch,
     ScenarioBatch,
     StreamingMetrics,
-    run_cycles_batch,
-    run_cycles_streamed,
+    execute_cycles,
 )
 from repro.analysis.metrics import compute_metrics
 from repro.api.session import SessionError
@@ -87,16 +86,16 @@ class TestChunkParityGrid:
         system, deadlines, scenarios = parity_setup
         session = Session().system(system).deadlines(deadlines).manager("relaxation")
         manager = session.build()
-        outcomes = run_cycles_batch(system, manager, scenarios=scenarios)
+        outcomes = execute_cycles(system, manager, scenarios=scenarios)[0]
         expected = compute_metrics(outcomes, deadlines)
         for chunk in (1, 3, N_CYCLES):
-            summary = run_cycles_streamed(
+            summary = execute_cycles(
                 system,
                 manager,
                 scenarios=scenarios,
                 deadlines=deadlines,
                 chunk_size=chunk,
-            )
+            )[1]
             assert_metrics_identical(expected, summary.metrics(), f"chunk={chunk}")
 
     def test_chunk_size_validation(self, parity_setup):
@@ -105,13 +104,79 @@ class TestChunkParityGrid:
             Session().system(system).deadlines(deadlines).manager("constant").build()
         )
         with pytest.raises(EngineError, match="chunk_size"):
-            run_cycles_streamed(
+            execute_cycles(
                 system,
                 manager,
                 scenarios=scenarios,
                 deadlines=deadlines,
                 chunk_size=0,
             )
+
+    def test_chunked_run_without_deadlines_is_refused(self, parity_setup):
+        """A chunked run keeps only its summary, so it needs deadlines."""
+        system, deadlines, scenarios = parity_setup
+        manager = (
+            Session().system(system).deadlines(deadlines).manager("relaxation").build()
+        )
+        with pytest.raises(EngineError, match="deadlines"):
+            execute_cycles(system, manager, 10, chunk_size=4)
+        with pytest.raises(EngineError, match="deadlines"):
+            execute_cycles(system, manager, scenarios=scenarios, chunk_size=4)
+
+    def test_materialised_run_without_deadlines_keeps_outcomes_only(self, parity_setup):
+        """An outcome-only call (``ControlledSystem.run_cycles``) needs no deadlines."""
+        from repro.core import ControlledSystem
+
+        system, deadlines, scenarios = parity_setup
+        manager = (
+            Session().system(system).deadlines(deadlines).manager("relaxation").build()
+        )
+        outcomes, summary = execute_cycles(system, manager, scenarios=scenarios)
+        assert len(outcomes) == N_CYCLES and summary is None
+        controlled = ControlledSystem(system, deadlines, manager)
+        replayed = controlled.run_cycles(N_CYCLES, scenarios=scenarios)
+        assert compute_metrics(replayed, deadlines) == compute_metrics(outcomes, deadlines)
+
+
+class TestDriverValidation:
+    """``execute_cycles`` validates its input once, for every run shape."""
+
+    @pytest.fixture()
+    def run(self, parity_setup):
+        system, deadlines, scenarios = parity_setup
+        manager = (
+            Session().system(system).deadlines(deadlines).manager("relaxation").build()
+        )
+        return system, deadlines, scenarios, manager
+
+    @pytest.mark.parametrize("chunk", [None, 4])
+    def test_bad_cycle_requests_raise(self, run, chunk):
+        system, deadlines, scenarios, manager = run
+        options = {"chunk_size": chunk, "deadlines": deadlines}
+        with pytest.raises(EngineError, match="cycle count"):
+            execute_cycles(system, manager, **options)
+        with pytest.raises(EngineError, match=">= 0"):
+            execute_cycles(system, manager, -1, **options)
+        with pytest.raises(EngineError, match="expected 3 scenarios"):
+            execute_cycles(system, manager, 3, scenarios=scenarios, **options)
+
+    @pytest.mark.parametrize("chunk", [None, 4])
+    def test_zero_cycles_run_nothing(self, run, chunk):
+        system, deadlines, _, manager = run
+        outcomes, summary = execute_cycles(
+            system, manager, 0, chunk_size=chunk, deadlines=deadlines
+        )
+        assert outcomes == () and summary.n_cycles == 0 and summary.n_actions is None
+
+    def test_summary_accessors(self, run):
+        system, deadlines, scenarios, manager = run
+        _, summary = execute_cycles(
+            system, manager, scenarios=scenarios, chunk_size=4, deadlines=deadlines
+        )
+        assert summary.deadlines is deadlines
+        assert summary.n_actions == system.n_actions
+        assert summary.makespan_sketch.count == N_CYCLES
+        assert summary.makespan_quantile(0.5) > 0.0
 
 
 class TestSamplerWrapAround:
@@ -209,6 +274,17 @@ class TestQuantileSketch:
         with pytest.raises(ValueError):
             QuantileSketch(resolution=3)
 
+    def test_merge_rejects_other_resolution_and_single_value_quantile(self):
+        sketch = QuantileSketch(resolution=64)
+        assert sketch.resolution == 64
+        with pytest.raises(ValueError, match="resolution"):
+            sketch.merge(QuantileSketch(resolution=128))
+        sketch.add_array(np.array([]))
+        sketch.add_array(np.array([0.0, -1.0]))
+        assert sketch.count == 2 and sketch.quantile(1.0) == 0.0
+        sketch.add(3.0)
+        assert abs(sketch.quantile(1.0) - 3.0) <= 3.0 * sketch.relative_error
+
     def test_relative_error_bound(self):
         rng = np.random.default_rng(0)
         values = rng.lognormal(mean=1.0, sigma=2.0, size=5000)
@@ -256,7 +332,7 @@ class TestStreamingMetricsAccumulator:
             Session().system(system).deadlines(deadlines).manager("relaxation").build()
         )
         scenarios = system.draw_scenarios(6, np.random.default_rng(2))
-        outcomes = run_cycles_batch(system, manager, scenarios=scenarios)
+        outcomes = execute_cycles(system, manager, scenarios=scenarios)[0]
         return deadlines, outcomes
 
     def test_merge_combines_halves(self, halves):
