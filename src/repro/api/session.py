@@ -28,7 +28,8 @@ Design contract (the three facade guarantees):
 * **batched runs** — :meth:`Session.run` executes N cycles,
   :meth:`Session.compare` runs several managers on identical scenarios and
   :meth:`Session.run_many` sweeps scenario specs; :meth:`Session.stream`
-  yields :class:`~repro.core.system.CycleOutcome` objects one at a time.
+  yields :class:`~repro.core.system.CycleOutcome` objects one at a time,
+  running them a chunk at a time.
 
 By default (``vectorize="auto"``) the batched run methods execute
 table-driven managers through the vectorised cycle engine
@@ -68,6 +69,7 @@ explicit ``scenarios=[...]`` for bitwise-identical repeats.
 from __future__ import annotations
 
 import copy
+import itertools
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -79,13 +81,18 @@ from repro.obs import export as obs_export
 from repro.obs import trace as obs_trace
 
 from repro.core.compiler import CompiledControllers, QualityManagerCompiler
-from repro.core.controller import OverheadModelProtocol, run_cycle
+from repro.core.controller import OverheadModelProtocol
 from repro.core.deadlines import DeadlineFunction
 from repro.core.engine import coerce_vectorize_mode
 from repro.core.manager import QualityManager
 from repro.core.policy import AveragePolicy, MixedPolicy, QualityManagementPolicy, SafePolicy
 from repro.core.relaxation import DEFAULT_RELAXATION_STEPS
-from repro.core.streaming import StreamingMetrics, execute_cycles
+from repro.core.streaming import (
+    DEFAULT_FLEET_CHUNK,
+    StreamingMetrics,
+    execute_chunks,
+    execute_cycles,
+)
 from repro.core.system import CycleOutcome, ParameterizedSystem
 from repro.core.timing import ActualTimeScenario, ScenarioBatch, supports_replay
 
@@ -341,7 +348,6 @@ class Session:
         self._remote: dict[str, Any] | None = None
         self._service: dict[str, Any] | None = None
         self._vectorize: str = "auto"
-        self._backend: str | None = None
         self._chunk_size: int | None = None
 
     # ------------------------------------------------------------------ #
@@ -564,33 +570,6 @@ class Session:
 
     def _effective_vectorize(self, override: Any) -> str:
         return self._vectorize if override is None else coerce_vectorize_mode(override)
-
-    def backend(self, name: str | None = None) -> "Session":
-        """Select the compute backend compiling the decision kernels.
-
-        ``"numpy"`` is the default and the one backend that ships; any name
-        added through :func:`repro.core.backend.register_backend` is
-        accepted too.  ``None`` restores the default resolution
-        (``$REPRO_BACKEND``, else numpy).  Naming an unknown or unavailable
-        backend raises immediately, never falls back.  The per-call
-        ``backend=`` keyword on the run methods overrides this setting.
-        """
-        if name is not None:
-            from repro.core.backend import get_backend
-
-            get_backend(str(name))  # eager validation
-            self._backend = str(name)
-        else:
-            self._backend = None
-        return self
-
-    def _effective_backend(self, override: Any) -> str | None:
-        if override is None:
-            return self._backend
-        from repro.core.backend import get_backend
-
-        get_backend(str(override))
-        return str(override)
 
     def chunk_size(self, cycles: int | None) -> "Session":
         """Stream executions in fixed-size chunks of ``cycles`` each.
@@ -930,26 +909,6 @@ class Session:
         if scenarios is not None and len(scenarios) != n_cycles:
             raise SessionError(f"expected {n_cycles} scenarios, got {len(scenarios)}")
 
-    def _stream(
-        self,
-        manager: QualityManager,
-        n_cycles: int,
-        seed: int,
-        scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None,
-    ) -> Iterator[CycleOutcome]:
-        system = self._execution_system()
-        overhead_model = self._resolve_overhead_model()
-        rng = np.random.default_rng(seed)
-        for cycle in range(n_cycles):
-            scenario = scenarios[cycle] if scenarios is not None else None
-            yield run_cycle(
-                system,
-                manager,
-                scenario=scenario,
-                rng=rng,
-                overhead_model=overhead_model,
-            )
-
     def stream(
         self,
         cycles: int | None = None,
@@ -959,24 +918,35 @@ class Session:
     ) -> Iterator[CycleOutcome]:
         """Yield cycle outcomes one at a time (the streaming run layer).
 
-        Arguments are validated and the manager is built before the iterator
-        is returned — bad input fails here, not on first iteration.
+        The cycles run through the solo driver
+        (:func:`~repro.core.streaming.execute_chunks`) a chunk at a time —
+        :meth:`chunk_size` cycles, else
+        :data:`~repro.core.streaming.DEFAULT_FLEET_CHUNK` — each drawn and
+        executed only when the iterator reaches it, on the engine
+        :meth:`vectorize` selects; the outcomes equal :meth:`run`'s bit for
+        bit.  Arguments are validated, the manager is built and its kernel
+        resolved before the iterator is returned — bad input fails here,
+        not on first iteration.
         """
         n_cycles = self._default_cycles if cycles is None else int(cycles)
         used_seed = self._seed if seed is None else int(seed)
         self._check_run_args(n_cycles, scenarios)
-        return self._stream(self.build(), n_cycles, used_seed, scenarios)
-
-    def _run_options(
-        self, vectorize: Any, backend: Any, chunk_size: Any
-    ) -> tuple[str, str | None, int | None]:
-        """The per-call ``(vectorize, backend, chunk_size)`` triple, each
-        resolved against the builder settings."""
-        return (
-            self._effective_vectorize(vectorize),
-            self._effective_backend(backend),
-            self._effective_chunk_size(chunk_size),
+        chunks = execute_chunks(
+            self._execution_system(),
+            self.build(),
+            n_cycles,
+            chunk_size=self._effective_chunk_size(_UNSET) or DEFAULT_FLEET_CHUNK,
+            scenarios=scenarios,
+            rng=np.random.default_rng(used_seed),
+            overhead_model=self._resolve_overhead_model(),
+            vectorize=self._vectorize,
         )
+        return itertools.chain.from_iterable(chunks)
+
+    def _run_options(self, vectorize: Any, chunk_size: Any) -> tuple[str, int | None]:
+        """The per-call ``(vectorize, chunk_size)`` pair, each resolved
+        against the builder settings."""
+        return self._effective_vectorize(vectorize), self._effective_chunk_size(chunk_size)
 
     def _execute(
         self,
@@ -984,11 +954,11 @@ class Session:
         n_cycles: int,
         seed: int | None,
         scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None,
-        options: tuple[str, str | None, int | None],
+        options: tuple[str, int | None],
     ) -> tuple[tuple[CycleOutcome, ...], StreamingMetrics | None]:
         """One solo execution on this session's system: ``(outcomes,
         summary)``, with no outcomes when ``options`` carry a chunk size."""
-        vectorize, backend, chunk = options
+        vectorize, chunk = options
         return execute_cycles(
             self._execution_system(),
             manager,
@@ -999,7 +969,6 @@ class Session:
             rng=np.random.default_rng(seed),
             overhead_model=self._resolve_overhead_model(),
             vectorize=vectorize,
-            backend=backend,
         )
 
     def run(
@@ -1009,23 +978,21 @@ class Session:
         seed: int | None = None,
         scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
         vectorize: Any = None,
-        backend: Any = None,
         chunk_size: Any = _UNSET,
     ) -> RunResult:
         """Execute N cycles with the selected manager and collect the result.
 
         ``vectorize`` overrides the :meth:`vectorize` builder setting for
-        this run; ``backend`` overrides the :meth:`backend` builder setting
-        (kernel compute backend, e.g. ``"numpy"``).  ``chunk_size`` overrides
-        the :meth:`chunk_size` builder setting: an integer streams the run in
-        constant memory and returns a summary-only result, an explicit
-        ``None`` forces the materialised path.  Results are bit-identical
-        across engines, backends and chunk sizes for fixed seeds.
+        this run.  ``chunk_size`` overrides the :meth:`chunk_size` builder
+        setting: an integer streams the run in constant memory and returns a
+        summary-only result, an explicit ``None`` forces the materialised
+        path.  Results are bit-identical across engines and chunk sizes for
+        fixed seeds.
         """
         n_cycles = self._default_cycles if cycles is None else int(cycles)
         used_seed = self._seed if seed is None else int(seed)
         self._check_run_args(n_cycles, scenarios)  # before any compilation
-        options = self._run_options(vectorize, backend, chunk_size)
+        options = self._run_options(vectorize, chunk_size)
         with obs_trace.span("session.run", manager=self._spec.key, cycles=n_cycles):
             with obs_trace.span("session.compile"):
                 manager = self.build()
@@ -1053,7 +1020,6 @@ class Session:
         workers: int | None = None,
         progress: Any = None,
         vectorize: Any = None,
-        backend: Any = None,
         scenario_transport: str | None = None,
         stream: bool = False,
         chunk_size: Any = _UNSET,
@@ -1102,7 +1068,7 @@ class Session:
             ManagerSpec("relaxation"),
         ]
         used_seed = self._seed if seed is None else int(seed)
-        options = self._run_options(vectorize, backend, chunk_size)
+        options = self._run_options(vectorize, chunk_size)
         config = self._pool_config(parallel, workers)
         self._check_stream(stream, config)
 
@@ -1151,7 +1117,6 @@ class Session:
         workers: int | None = None,
         progress: Any = None,
         vectorize: Any = None,
-        backend: Any = None,
         scenario_transport: str | None = None,
         stream: bool = False,
         chunk_size: Any = _UNSET,
@@ -1197,7 +1162,7 @@ class Session:
         """
         _check_transport(scenario_transport)
         entries = self._coerce_run_many_entries(scenarios)
-        options = self._run_options(vectorize, backend, chunk_size)
+        options = self._run_options(vectorize, chunk_size)
         config = self._pool_config(parallel, workers)
         self._check_stream(stream, config)
         if config is not None and entries:
@@ -1280,7 +1245,6 @@ class Session:
         cycles: int | None = None,
         seed: int | None = None,
         chunk_size: int | None = None,
-        backend: Any = None,
     ) -> "BatchResult":
         """Run many configured sessions as one vectorised fleet.
 
@@ -1296,9 +1260,7 @@ class Session:
         """
         from .fleet import run_fleet
 
-        return run_fleet(
-            sessions, cycles=cycles, seed=seed, chunk_size=chunk_size, backend=backend
-        )
+        return run_fleet(sessions, cycles=cycles, seed=seed, chunk_size=chunk_size)
 
     def sweep_plan(
         self,
@@ -1330,7 +1292,7 @@ class Session:
         return self._plan(
             [spec for _, spec, _, _ in entries],
             self._run_many_planner(entries, scenario_transport),
-            self._run_options(None, None, chunk_size),
+            self._run_options(None, chunk_size),
         )
 
     # ------------------------------------------------------------------ #
@@ -1456,7 +1418,6 @@ class Session:
         self,
         cache: Any,
         vectorize: str | None = None,
-        backend: str | None = None,
         chunk_size: int | None = None,
     ) -> Any:
         from repro.runtime.plan import ExecutionPayload
@@ -1471,7 +1432,6 @@ class Session:
             overhead=self._overhead,
             cache_dir=str(cache.root) if cache is not None else None,
             vectorize=self._vectorize if vectorize is None else vectorize,
-            backend=self._backend if backend is None else backend,
             chunk_size=chunk_size,
         )
 
@@ -1517,7 +1477,7 @@ class Session:
         self,
         specs: Sequence[ManagerSpec],
         build_plan: Callable[[Any], Any],
-        options: tuple[str, str | None, int | None],
+        options: tuple[str, int | None],
     ) -> Any:
         """Warm the artifact cache for ``specs`` and build a plan on the
         resulting execution payload."""
@@ -1561,7 +1521,7 @@ class Session:
         label_of: Callable[[Any, str], str],
         seed: int | None,
         advance: Callable[[Any], None],
-        options: tuple[str, str | None, int | None],
+        options: tuple[str, int | None],
         progress: Any,
         stream: bool,
     ) -> BatchResult | Iterator[tuple[str, RunResult]]:
@@ -1653,7 +1613,7 @@ class Session:
         self,
         entries: Sequence[tuple[str, ManagerSpec, int, int]],
         label_of: Callable[[Any, str], str],
-        options: tuple[str, str | None, int | None],
+        options: tuple[str, int | None],
         progress: Any,
         scenarios: ScenarioBatch | None = None,
     ) -> BatchResult:

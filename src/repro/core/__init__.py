@@ -7,13 +7,6 @@ control relaxation regions) together with the compiler that pre-computes
 them.
 """
 
-from .backend import (
-    BackendError,
-    available_backends,
-    backend_available,
-    get_backend,
-    registered_backends,
-)
 from .compiler import CompilationReport, CompiledControllers, QualityManagerCompiler
 from .controller import (
     ControlledSystem,
@@ -144,14 +137,9 @@ __all__ = [
     "execute_cycles",
     "QuantileSketch",
     "StreamingMetrics",
-    # kernel specs and compute backends
+    # kernel specs
     "KernelSpec",
     "PRIMITIVE_OPS",
-    "BackendError",
-    "get_backend",
-    "backend_available",
-    "available_backends",
-    "registered_backends",
     # validation
     "audit_trace",
     "assert_trace_safe",

@@ -1,4 +1,4 @@
-"""The NumPy backend: one vectorised program per kernel primitive.
+"""The NumPy kernel programs: one vectorised program per kernel primitive.
 
 A program is compiled from one or more specs sharing an op and a table
 shape (one spec for a solo run, a fleet bucket's specs otherwise); every
@@ -293,7 +293,7 @@ _PROGRAMS = {
 
 
 class NumpyKernelBackend:
-    """The default backend: every primitive as vectorised NumPy."""
+    """The program compiler: every primitive as vectorised NumPy."""
 
     name = "numpy"
 

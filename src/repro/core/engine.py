@@ -12,10 +12,9 @@ The engine works in three parts:
 
 * **decision kernels** — each manager lowers itself once into a declarative
   :class:`~repro.core.kernelspec.KernelSpec` (pre-computed tables plus one
-  primitive op) via :meth:`~repro.core.manager.QualityManager.lower`; a
-  compute backend (:mod:`repro.core.backend`, NumPy by default) compiles
-  one or more specs sharing an op and table shape into one member-stacked
-  program, and :class:`DecisionKernel` binds per-member overhead charges
+  primitive op) via :meth:`~repro.core.manager.QualityManager.lower`; one
+  or more specs sharing an op and table shape compile into one
+  member-stacked NumPy program, and :class:`DecisionKernel` binds per-member overhead charges
   and invocation accounting around it.  The engine never branches on
   manager classes: every registered manager — numeric, the adaptive
   baselines (skip, elastic, feedback), the symbolic managers and the
@@ -55,7 +54,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .backend import get_backend
+from .backend import compile_program
 from .controller import OverheadModelProtocol
 from .kernelspec import KernelSpec
 from .manager import ManagerWork, QualityManager
@@ -148,7 +147,7 @@ def _member_counts(
 class DecisionKernel:
     """Compiled specs bound to per-member overhead charges and accounting.
 
-    The one binding between a backend program and the lockstep loop: a solo
+    The one binding between a NumPy program and the lockstep loop: a solo
     run binds one spec, a fleet bucket its members' specs.  The program
     answers the pure decisions ``(rows, steps, late)`` per lane; this class
     adds what the engine owes each member's overhead model — the
@@ -166,11 +165,10 @@ class DecisionKernel:
         self,
         specs: Sequence[KernelSpec],
         models: Sequence[OverheadModelProtocol | None],
-        backend: str | None = None,
     ) -> None:
         self._specs = tuple(specs)
         self._models = tuple(models)
-        self._program = get_backend(backend).compile(self._specs)
+        self._program = compile_program(self._specs)
         self.one_step = bool(getattr(self._program, "one_step", False))
         self._per_state = isinstance(self._specs[0].work, tuple)
         pairs = list(zip(self._specs, self._models))
@@ -304,7 +302,6 @@ def vectorizable_spec(
 def compile_decision_kernel(
     manager: QualityManager,
     overhead_model: OverheadModelProtocol | None = None,
-    backend: str | None = None,
     *,
     system: ParameterizedSystem | None = None,
     scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
@@ -314,27 +311,23 @@ def compile_decision_kernel(
 
     Resolves the spec through :func:`vectorizable_spec` (so ``vectorize``,
     the overhead model and the scenarios' quality set decide as everywhere
-    else) and compiles it as a one-member kernel on the selected compute
-    backend (explicit name, else ``$REPRO_BACKEND``, else numpy).  ``None``
-    means the scalar loop must be used.  Naming an unknown or unavailable
-    backend raises :class:`~repro.core.backend.BackendError` — a requested
-    backend is never silently substituted.
+    else) and compiles it as a one-member kernel.  ``None`` means the
+    scalar loop must be used.
     """
     spec = vectorizable_spec(
         manager, overhead_model, system=system, scenarios=scenarios, vectorize=vectorize
     )
     if spec is None:
         return None
-    return DecisionKernel((spec,), (overhead_model,), backend)
+    return DecisionKernel((spec,), (overhead_model,))
 
 
 def supports_vectorized(
     manager: QualityManager,
     overhead_model: OverheadModelProtocol | None = None,
-    backend: str | None = None,
 ) -> bool:
     """True when the manager/overhead pair lowers to a decision kernel."""
-    return compile_decision_kernel(manager, overhead_model, backend) is not None
+    return compile_decision_kernel(manager, overhead_model) is not None
 
 
 def scenarios_vectorizable(
@@ -395,7 +388,6 @@ def run_cycles_vectorized(
     *,
     overhead_model: OverheadModelProtocol | None = None,
     kernel: DecisionKernel | None = None,
-    backend: str | None = None,
     sink: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray], None]
     | None = None,
 ) -> tuple[CycleOutcome, ...]:
@@ -413,7 +405,7 @@ def run_cycles_vectorized(
     outcomes.  Raises :class:`EngineError` when the manager has no kernel.
     """
     if kernel is None:
-        kernel = compile_decision_kernel(manager, overhead_model, backend)
+        kernel = compile_decision_kernel(manager, overhead_model)
         if kernel is None:
             raise EngineError(
                 f"manager {manager.name!r} (with this overhead model) has no "

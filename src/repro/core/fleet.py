@@ -11,10 +11,10 @@ per-lane member indices — a solo run is the one-member case.
 
 * **bucketing** — every member's manager lowers to a
   :class:`~repro.core.kernelspec.KernelSpec`; :func:`bucket_key` reduces
-  the spec to its *shape* ``(backend, op, n_levels, n_actions, table
-  dims, work structure)`` and :class:`FleetPlan` groups members whose
-  shapes match.  Within a bucket the backend stacks the per-member
-  tables along a member axis, so one program answers every
+  the spec to its *shape* ``(op, n_levels, n_actions, table dims, work
+  structure)`` and :class:`FleetPlan` groups members whose shapes match.
+  Within a bucket the NumPy program stacks the per-member tables along a
+  member axis, so one program answers every
   member's decisions in one vectorised call — the same
   prune-don't-enumerate discipline the engine applies per manager, lifted
   across managers.  Members whose manager does not lower (or whose
@@ -50,7 +50,6 @@ import numpy as np
 from repro.obs.metrics import registry as _obs_registry
 from repro.obs.state import enabled as _obs_enabled
 
-from .backend import get_backend
 from .controller import OverheadModelProtocol
 from .deadlines import DeadlineFunction
 from .engine import (
@@ -61,7 +60,7 @@ from .engine import (
 )
 from .kernelspec import KernelSpec
 from .manager import QualityManager
-from .streaming import StreamingMetrics, execute_cycles
+from .streaming import DEFAULT_FLEET_CHUNK, StreamingMetrics, execute_cycles
 from .system import ParameterizedSystem
 from .timing import ScenarioBatch
 
@@ -74,9 +73,6 @@ __all__ = [
     "bucket_key",
     "run_fleet",
 ]
-
-#: lanes per member per chunk when a member sets no chunk size of its own
-DEFAULT_FLEET_CHUNK = 1024
 
 
 class FleetError(ValueError):
@@ -105,7 +101,6 @@ class FleetMember:
     chunk_size: int | None = None
     overhead_model: OverheadModelProtocol | None = None
     vectorize: Any = "auto"
-    backend: str | None = None
 
     def __post_init__(self) -> None:
         cycles = int(self.cycles)
@@ -155,13 +150,12 @@ def _table_signature(value: Any) -> tuple:
     return ("scalar",)
 
 
-def bucket_key(spec: KernelSpec, n_actions: int, backend: str = "numpy") -> tuple:
+def bucket_key(spec: KernelSpec, n_actions: int) -> tuple:
     """The hashable kernel-spec shape members must share to stack.
 
-    ``(backend, op, n_levels, n_actions, sorted table signatures, work
-    structure)``: the backend that compiles the bucket's one program, then
-    everything the program indexes by position, nothing it gathers per
-    member.  Per-state work tuples and late-work splits change how
+    ``(op, n_levels, n_actions, sorted table signatures, work structure)``:
+    everything the bucket's one program indexes by position, nothing it
+    gathers per member.  Per-state work tuples and late-work splits change how
     overhead accounting folds, so the work structure is part of the key.
     """
     tables = tuple(
@@ -171,7 +165,7 @@ def bucket_key(spec: KernelSpec, n_actions: int, backend: str = "numpy") -> tupl
         work = ("per-state", len(spec.work))
     else:
         work = ("single", spec.late_work is not None)
-    return (backend, spec.op, int(spec.n_levels), int(n_actions), tables, work)
+    return (spec.op, int(spec.n_levels), int(n_actions), tables, work)
 
 
 @dataclass(frozen=True)
@@ -181,11 +175,6 @@ class FleetBucket:
     key: tuple
     indices: tuple[int, ...]
     specs: tuple[KernelSpec, ...] = field(repr=False)
-
-    @property
-    def backend(self) -> str:
-        """The name of the backend compiling this bucket (its key's head)."""
-        return self.key[0]
 
 
 @dataclass(frozen=True)
@@ -206,9 +195,7 @@ class FleetPlan:
         declares deterministic charges and its scenarios (when shipped by
         value) index the system's own quality set.  Otherwise it is routed
         to the solo streamed fallback, or, under ``vectorize="always"``,
-        refused.  The member's resolved backend (explicit, else
-        ``$REPRO_BACKEND``) is part of the bucket key, so each bucket
-        compiles one program on the backend its members asked for.
+        refused.
         """
         members = tuple(members)
         if not members:
@@ -222,8 +209,6 @@ class FleetPlan:
         specs: dict[tuple, list[KernelSpec]] = {}
         fallback: list[int] = []
         for index, member in enumerate(members):
-            # validate the backend name up front — never silently substituted
-            backend = get_backend(member.backend)
             spec = vectorizable_spec(
                 member.manager,
                 member.overhead_model,
@@ -235,7 +220,7 @@ class FleetPlan:
             if spec is None:
                 fallback.append(index)
                 continue
-            key = bucket_key(spec, member.system.n_actions, backend.name)
+            key = bucket_key(spec, member.system.n_actions)
             grouped.setdefault(key, []).append(index)
             specs.setdefault(key, []).append(spec)
         buckets = tuple(
@@ -260,9 +245,7 @@ def _run_bucket(
     out of folds and accounting.
     """
     group = [members[index] for index in bucket.indices]
-    kernel = DecisionKernel(
-        bucket.specs, [member.overhead_model for member in group], bucket.backend
-    )
+    kernel = DecisionKernel(bucket.specs, [member.overhead_model for member in group])
     n_members = len(group)
     n_actions = group[0].system.n_actions
     n_levels = int(bucket.specs[0].n_levels)
@@ -353,7 +336,6 @@ def run_fleet(
             rng=member.make_rng() if member.scenarios is None else None,
             overhead_model=member.overhead_model,
             vectorize=member.vectorize,
-            backend=member.backend,
         )
     padded_lanes = 0
     total_lanes = 0

@@ -4,10 +4,9 @@ Every :class:`~repro.core.manager.QualityManager` can describe its decision
 rule as a :class:`KernelSpec` — pre-computed boundary/bound/coefficient
 arrays plus the name of one *primitive operation* from a small closed set —
 via :meth:`~repro.core.manager.QualityManager.lower`.  The vectorised engine
-(:mod:`repro.core.engine`) never needs to know the manager class: it hands
-the spec to a compute backend (:mod:`repro.core.backend`), which returns an
-executable program for the primitive, and binds overhead charges and
-invocation accounting around it.
+(:mod:`repro.core.engine`) never needs to know the manager class: it
+compiles the spec into the NumPy program for its primitive and binds
+overhead charges and invocation accounting around it.
 
 The primitive ops (:data:`PRIMITIVE_OPS`):
 
@@ -87,7 +86,7 @@ class KernelSpec:
     n_levels:
         Number of quality levels (rows are 0-based level indices).
     tables:
-        The op's pre-computed arrays and scalars (see the backend programs
+        The op's pre-computed arrays and scalars (see the NumPy programs
         for the exact keys each op consumes).
     work:
         One work record for every invocation, or a tuple with one record per

@@ -148,8 +148,8 @@ class QualityManager(ABC):
 
         The "tables in, kernel out" protocol of :mod:`repro.core.kernelspec`:
         a returned spec names one primitive op plus the pre-computed tables it
-        consumes, and a compute backend (:mod:`repro.core.backend`) turns it
-        into a batch program whose decisions are bit-identical to
+        consumes, and the engine (:mod:`repro.core.engine`) compiles it into
+        a NumPy batch program whose decisions are bit-identical to
         :meth:`decide`.  ``None`` means the rule cannot be expressed as a
         primitive (or its tables are not monotone) and the scalar loop must be
         used.  A subclass that overrides :meth:`decide` MUST override this

@@ -1,9 +1,11 @@
 """The solo run driver: chunked execution folded into a mergeable summary.
 
-:func:`execute_cycles` is the one driver behind every solo run — the
-facade's ``Session.run``/``compare``/``run_many``, the pool, spool and
-service workers, ``ControlledSystem.run_cycles`` and the fleet's fallback
-members.  It validates its input once, resolves the decision kernel once
+:func:`execute_chunks` is the one driver behind every solo run — through
+:func:`execute_cycles`, the facade's ``Session.run``/``compare``/
+``run_many``, the pool, spool and service workers,
+``ControlledSystem.run_cycles`` and the fleet's fallback members; directly,
+``Session.stream``, which yields each chunk's outcomes as they are run.
+It validates its input once, resolves the decision kernel once
 (:func:`repro.core.engine.compile_decision_kernel`), then runs one chunk
 loop: draw a :class:`~repro.core.timing.ScenarioBatch` chunk through the
 sampler's replayable stream (or slice it zero-copy from a caller-supplied
@@ -45,8 +47,9 @@ semantics — so no decision state survives a cycle, let alone a chunk.
 
 from __future__ import annotations
 
+import itertools
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +60,7 @@ from .controller import OverheadModelProtocol, run_cycle
 from .deadlines import DeadlineFunction
 from .engine import (
     EngineError,
+    coerce_vectorize_mode,
     compile_decision_kernel,
     run_cycles_vectorized,
     run_lockstep_arrays,
@@ -67,10 +71,16 @@ from .system import CycleOutcome, ParameterizedSystem
 from .timing import ActualTimeScenario, ScenarioBatch
 
 __all__ = [
+    "DEFAULT_FLEET_CHUNK",
     "QuantileSketch",
     "StreamingMetrics",
+    "execute_chunks",
     "execute_cycles",
 ]
+
+#: cycles per chunk — lanes per member per chunk in a fleet — when a
+#: streamed run sets no chunk size of its own
+DEFAULT_FLEET_CHUNK = 1024
 
 
 class QuantileSketch:
@@ -447,6 +457,111 @@ class StreamingMetrics:
         )
 
 
+def execute_chunks(
+    system: ParameterizedSystem,
+    manager: QualityManager,
+    cycles: int | None = None,
+    *,
+    chunk_size: int | None = None,
+    keep_outcomes: bool = True,
+    summary: StreamingMetrics | None = None,
+    scenarios: ScenarioBatch | Sequence[ActualTimeScenario] | None = None,
+    rng: np.random.Generator | None = None,
+    overhead_model: OverheadModelProtocol | None = None,
+    vectorize: object = "auto",
+) -> Iterator[tuple[CycleOutcome, ...]]:
+    """Validate one solo run, resolve its kernel, and return its chunk loop.
+
+    Everything that can fail on bad input fails here, before the returned
+    generator runs; the generator then draws (or slices) one chunk at a
+    time, runs it, folds it into ``summary`` when one is given, and yields
+    the chunk's outcomes — or ``()`` when ``keep_outcomes`` is false and
+    the chunk is folded from its lockstep arrays alone.  ``chunk_size=None``
+    runs every cycle as one chunk.  The arguments are those of
+    :func:`execute_cycles`, which drains this loop.  The engine's obs
+    counters count the cycles that ran when the loop ends or is closed.
+    """
+    if chunk_size is not None:
+        chunk = int(chunk_size)
+        if chunk < 1:
+            raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
+    if not keep_outcomes and summary is None:
+        raise EngineError(
+            "a chunked run keeps only its StreamingMetrics summary, which "
+            "needs deadlines; pass deadlines= or chunk_size=None"
+        )
+    if scenarios is None:
+        if cycles is None:
+            raise EngineError("pass a cycle count or an explicit scenario batch")
+        n_cycles = int(cycles)
+        if n_cycles < 0:
+            raise EngineError(f"cycles must be >= 0, got {cycles}")
+        generator = rng if rng is not None else np.random.default_rng(0)
+    else:
+        if not isinstance(scenarios, ScenarioBatch):
+            scenarios = tuple(scenarios)
+        n_cycles = len(scenarios)
+        if cycles is not None and n_cycles != int(cycles):
+            raise EngineError(f"expected {cycles} scenarios, got {n_cycles}")
+    if chunk_size is None:
+        chunk = max(n_cycles, 1)
+    mode = coerce_vectorize_mode(vectorize)
+    kernel = compile_decision_kernel(
+        manager, overhead_model, system=system, scenarios=scenarios, vectorize=mode
+    )
+    fold = summary.update_chunk if summary is not None else None
+
+    def chunks() -> Iterator[tuple[CycleOutcome, ...]]:
+        done = 0
+        peak_chunk_bytes = 0
+        try:
+            for start in range(0, n_cycles, chunk):
+                count = min(chunk, n_cycles - start)
+                if scenarios is None:
+                    batch = system.draw_scenarios(count, generator)
+                else:
+                    batch = scenarios[start : start + count]
+                if isinstance(batch, ScenarioBatch):
+                    peak_chunk_bytes = max(peak_chunk_bytes, batch.nbytes())
+                if kernel is None:
+                    outcomes = tuple(
+                        run_cycle(
+                            system, manager, scenario=scenario, overhead_model=overhead_model
+                        )
+                        for scenario in batch
+                    )
+                    if summary is not None:
+                        for outcome in outcomes:
+                            summary.update_outcome(outcome)
+                elif keep_outcomes:
+                    outcomes = run_cycles_vectorized(
+                        system, manager, batch, kernel=kernel, sink=fold
+                    )
+                else:
+                    fold(
+                        *run_lockstep_arrays(
+                            kernel, _scenario_tensor(system, batch), system.qualities.minimum
+                        )
+                    )
+                done += count
+                yield outcomes if keep_outcomes else ()
+        finally:
+            if _obs_enabled():
+                path = "vectorized" if kernel is not None else "scalar"
+                registry = _obs_registry()
+                registry.inc(f"engine.batches.{path}.{type(manager).__name__}")
+                registry.inc(f"engine.cycles.{path}", done)
+                # a requested scalar run is not a fallback
+                if kernel is None and mode != "never":
+                    registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
+                if chunk_size is not None:
+                    registry.inc("engine.cycles.streamed", done)
+                    registry.inc("engine.chunks", len(range(0, done, chunk)))
+                    registry.set("engine.peak_chunk_bytes", float(peak_chunk_bytes))
+
+    return chunks()
+
+
 def execute_cycles(
     system: ParameterizedSystem,
     manager: QualityManager,
@@ -458,7 +573,6 @@ def execute_cycles(
     rng: np.random.Generator | None = None,
     overhead_model: OverheadModelProtocol | None = None,
     vectorize: object = "auto",
-    backend: str | None = None,
 ) -> tuple[tuple[CycleOutcome, ...], StreamingMetrics | None]:
     """Run one solo execution and return ``(outcomes, summary)``.
 
@@ -476,82 +590,20 @@ def execute_cycles(
     whenever ``deadlines`` are given (``None`` otherwise); its metrics are
     bit-identical at any chunk size.  ``vectorize`` is ``"auto"`` (kernel
     when available, scalar otherwise), ``"always"``/``True`` (raise without
-    a kernel) or ``"never"``/``False`` (scalar loop); ``backend`` names the
-    compute backend compiling the kernel.
+    a kernel) or ``"never"``/``False`` (scalar loop).  The chunk loop is
+    :func:`execute_chunks`.
     """
-    materialise = chunk_size is None
-    if not materialise:
-        chunk = int(chunk_size)
-        if chunk < 1:
-            raise EngineError(f"chunk_size must be >= 1, got {chunk_size}")
-        if deadlines is None:
-            raise EngineError(
-                "a chunked run keeps only its StreamingMetrics summary, which "
-                "needs deadlines; pass deadlines= or chunk_size=None"
-            )
-    if scenarios is None:
-        if cycles is None:
-            raise EngineError("pass a cycle count or an explicit scenario batch")
-        n_cycles = int(cycles)
-        if n_cycles < 0:
-            raise EngineError(f"cycles must be >= 0, got {cycles}")
-        generator = rng if rng is not None else np.random.default_rng(0)
-    else:
-        if not isinstance(scenarios, ScenarioBatch):
-            scenarios = tuple(scenarios)
-        n_cycles = len(scenarios)
-        if cycles is not None and n_cycles != int(cycles):
-            raise EngineError(f"expected {cycles} scenarios, got {n_cycles}")
-    if materialise:
-        chunk = max(n_cycles, 1)
-    kernel = compile_decision_kernel(
+    summary = StreamingMetrics(deadlines) if deadlines is not None else None
+    chunks = execute_chunks(
+        system,
         manager,
-        overhead_model,
-        backend,
-        system=system,
+        cycles,
+        chunk_size=chunk_size,
+        keep_outcomes=chunk_size is None,
+        summary=summary,
         scenarios=scenarios,
+        rng=rng,
+        overhead_model=overhead_model,
         vectorize=vectorize,
     )
-    summary = StreamingMetrics(deadlines) if deadlines is not None else None
-    fold = summary.update_chunk if summary is not None else None
-    outcomes: list[CycleOutcome] = []
-    peak_chunk_bytes = 0
-    for start in range(0, n_cycles, chunk):
-        count = min(chunk, n_cycles - start)
-        if scenarios is None:
-            batch = system.draw_scenarios(count, generator)
-        else:
-            batch = scenarios[start : start + count]
-        if isinstance(batch, ScenarioBatch):
-            peak_chunk_bytes = max(peak_chunk_bytes, batch.nbytes())
-        if kernel is None:
-            for scenario in batch:
-                outcome = run_cycle(
-                    system, manager, scenario=scenario, overhead_model=overhead_model
-                )
-                if summary is not None:
-                    summary.update_outcome(outcome)
-                if materialise:
-                    outcomes.append(outcome)
-        elif materialise:
-            outcomes.extend(
-                run_cycles_vectorized(system, manager, batch, kernel=kernel, sink=fold)
-            )
-        else:
-            fold(
-                *run_lockstep_arrays(
-                    kernel, _scenario_tensor(system, batch), system.qualities.minimum
-                )
-            )
-    if _obs_enabled():
-        path = "vectorized" if kernel is not None else "scalar"
-        registry = _obs_registry()
-        registry.inc(f"engine.batches.{path}.{type(manager).__name__}")
-        registry.inc(f"engine.cycles.{path}", n_cycles)
-        if kernel is None:
-            registry.inc(f"engine.scalar_fallback.{type(manager).__name__}")
-        if not materialise:
-            registry.inc("engine.cycles.streamed", n_cycles)
-            registry.inc("engine.chunks", len(range(0, n_cycles, chunk)))
-            registry.set("engine.peak_chunk_bytes", float(peak_chunk_bytes))
-    return tuple(outcomes), summary
+    return tuple(itertools.chain.from_iterable(chunks)), summary

@@ -59,7 +59,6 @@ def run_all_experiments(
     workload: EncoderWorkload | None = None,
     workers: int | None = None,
     vectorize: str = "auto",
-    backend: str | None = None,
     scenario_transport: str | None = None,
     spool: str | None = None,
     spool_timeout: float | None = None,
@@ -79,11 +78,8 @@ def run_all_experiments(
     ``vectorize`` selects the cycle engine for the session-driven
     experiments — ``"auto"`` (default) batch-executes the table-driven
     managers through :mod:`repro.core.engine`, ``"never"`` forces the scalar
-    loop; either way the artefacts are bit-identical.  ``backend`` selects
-    the kernel compute backend (default ``$REPRO_BACKEND``, else
-    ``"numpy"``); every registered backend is bit-identical too.
-    ``scenario_transport``
-    selects how a parallel comparison ships its shared scenarios to the
+    loop; either way the artefacts are bit-identical.
+    ``scenario_transport`` selects how a parallel comparison ships its shared scenarios to the
     workers (``"value"`` pre-draws and ships the
     :class:`~repro.core.timing.ScenarioBatch` tensor, ``"redraw"`` ships no
     scenario data and workers re-draw it); ``None`` keeps each mode's
@@ -107,8 +103,6 @@ def run_all_experiments(
     # E2 and E3 share one facade session: the symbolic tables are compiled
     # once and reused from the session's cache across both experiments.
     session = Session().system(wl).seed(seed).vectorize(vectorize)
-    if backend is not None:
-        session.backend(backend)
     if chunk_size is not None:
         session.chunk_size(chunk_size)
     if spool is not None:
@@ -147,11 +141,6 @@ def main(argv: list[str] | None = None) -> int:
         help="cycle engine: vectorised NumPy kernels (auto/always) or the scalar loop",
     )
     parser.add_argument(
-        "--backend",
-        default=None,
-        help="registered kernel compute backend (default: $REPRO_BACKEND, else numpy)",
-    )
-    parser.add_argument(
         "--scenario-transport",
         choices=("value", "redraw"),
         default=None,
@@ -187,7 +176,6 @@ def main(argv: list[str] | None = None) -> int:
         seed=arguments.seed,
         workers=arguments.workers,
         vectorize=arguments.vectorize,
-        backend=arguments.backend,
         scenario_transport=arguments.scenario_transport,
         spool=arguments.spool,
         spool_timeout=arguments.timeout,

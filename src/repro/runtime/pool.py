@@ -139,6 +139,15 @@ class _WorkerRuntime:
         # resolved lazily to avoid importing the api package before fork
         from repro.api.session import resolve_overhead_model
 
+        # a payload pickled while kernels had a selectable compute backend
+        # carries that choice as a stray attribute; only NumPy runs here
+        retired = vars(payload).get("backend")
+        if retired not in (None, "numpy"):
+            raise ValueError(
+                f"execution payload field 'backend' is {retired!r}, but the "
+                "NumPy kernel programs are the only backend; rebuild the "
+                "payload without it"
+            )
         self._payload = payload
         self._base_system = payload.system
         machine = payload.machine
@@ -240,7 +249,6 @@ class _WorkerRuntime:
             rng=np.random.default_rng(unit.seed) if unit.scenarios is None else None,
             overhead_model=self._overhead_model,
             vectorize=getattr(self._payload, "vectorize", "auto"),
-            backend=getattr(self._payload, "backend", None),
         )
 
     def _fleet_member_system(self):
@@ -287,7 +295,6 @@ class _WorkerRuntime:
                     chunk_size=getattr(self._payload, "chunk_size", None),
                     overhead_model=self._overhead_model,
                     vectorize=getattr(self._payload, "vectorize", "auto"),
-                    backend=getattr(self._payload, "backend", None),
                 )
             )
         summaries = run_fleet(members)

@@ -46,6 +46,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "--scenario-transport", "telegraph"])
 
+    @pytest.mark.parametrize(
+        "command", ["run", "compare", "fleet", "sweep", "experiments"]
+    )
+    def test_backend_flag_is_refused(self, command, capsys):
+        # the NumPy programs are the only kernel backend; nothing selects one
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "--backend" in capsys.readouterr().err
+
     def test_experiments_scenario_transport_flag(self):
         args = build_parser().parse_args(
             ["experiments", "--scenario-transport", "redraw"]

@@ -16,19 +16,14 @@ from repro.api import Session
 from repro.api.registry import BuildContext, available_managers, build_manager
 from repro.api.results import RunResult
 from repro.core import (
-    BackendError,
     EngineError,
     ParameterizedSystem,
     QualityManager,
     QualityManagerCompiler,
     QualitySet,
     StreamingMetrics,
-    available_backends,
-    backend_available,
     compile_decision_kernel,
     compute_td_table,
-    get_backend,
-    registered_backends,
     execute_cycles,
     run_cycle,
     run_cycles_vectorized,
@@ -36,8 +31,9 @@ from repro.core import (
     run_fixed_quality_batch,
     supports_vectorized,
 )
+from repro.core.backend import BackendError, get_backend
 from repro.core.engine import DecisionKernel, coerce_vectorize_mode
-from repro.core.fleet import FleetMember, FleetPlan, bucket_key
+from repro.core.fleet import FleetMember, FleetPlan, bucket_key, run_fleet
 from repro.core.regions import QualityRegionTable, RegionQualityManager
 from repro.core.relaxation import RelaxationQualityManager, RelaxationTable
 from repro.platform.overhead import IPOD_LIKE, LinearOverheadModel, NullOverheadModel
@@ -135,13 +131,13 @@ _EXPECTED_OPS = {
 
 
 class TestParityGrid:
-    # None: the resolved default backend ($REPRO_BACKEND, else numpy)
-    @pytest.mark.parametrize("backend", [None])
-    @pytest.mark.parametrize("key", available_managers())
+    # the "-None" suffix keeps each case's id from when the grid also ranged
+    # over a one-value compute-backend axis
+    @pytest.mark.parametrize(
+        "key", available_managers(), ids=lambda key: f"{key}-None"
+    )
     @pytest.mark.parametrize("model_index", range(4))
-    def test_every_registered_manager_is_bit_identical(
-        self, setup, key, model_index, backend
-    ):
+    def test_every_registered_manager_is_bit_identical(self, setup, key, model_index):
         """Vectorised (or fallen-back) outcomes equal the scalar loop exactly,
         and the run's folded summary equals the outcomes' metrics."""
         system, deadlines, context = setup
@@ -160,7 +156,6 @@ class TestParityGrid:
             scenarios=scenarios,
             deadlines=deadlines,
             overhead_model=model,
-            backend=backend,
         )
         assert_outcomes_identical(scalar, batch)
         assert_summary_matches_outcomes(batch, summary, deadlines)
@@ -428,6 +423,25 @@ class TestDecisionTables:
             assert tables[name].dtype == dtype, name
 
 
+class OpaqueManager(QualityManager):
+    """A decide()-only wrapper: no kernel spec, so it runs the scalar loop."""
+
+    name = "opaque"
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def qualities(self):
+        return self._inner.qualities
+
+    def decide(self, state_index, time):
+        return self._inner.decide(state_index, time)
+
+    def memory_footprint(self):
+        return self._inner.memory_footprint()
+
+
 class TestKernelCompilation:
     def test_every_registered_manager_lowers_to_a_kernel(self, setup):
         """The whole registry speaks the "tables in, kernel out" protocol."""
@@ -444,22 +458,6 @@ class TestKernelCompilation:
     def test_manager_without_lowering_falls_back(self, setup):
         """A decide()-only subclass has no spec and runs through the scalar loop."""
         system, deadlines, context = setup
-
-        class OpaqueManager(QualityManager):
-            name = "opaque"
-
-            def __init__(self, inner):
-                self._inner = inner
-
-            @property
-            def qualities(self):
-                return self._inner.qualities
-
-            def decide(self, state_index, time):
-                return self._inner.decide(state_index, time)
-
-            def memory_footprint(self):
-                return self._inner.memory_footprint()
 
         manager = OpaqueManager(build_manager("region", context))
         assert manager.lower() is None
@@ -519,6 +517,31 @@ class TestKernelCompilation:
             assert fallback == {"kind": "counter", "value": 1}
             assert "engine.batches.scalar.RegionQualityManager" in snap
             assert "engine.batches.vectorized.RegionQualityManager" in snap
+        finally:
+            reset_enabled()
+            metrics.registry().reset()
+
+    def test_requested_scalar_run_is_not_a_fallback(self, setup, tmp_path, monkeypatch):
+        """``vectorize="never"`` asks for the scalar loop; only a manager that
+        cannot vectorise under ``"auto"`` counts as a fallback."""
+        from repro.obs import metrics, reset_enabled
+
+        system, deadlines, context = setup
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "telemetry"))
+        reset_enabled()
+        metrics.registry().reset()
+        try:
+            relaxation = build_manager("relaxation", context)
+            execute_cycles(system, relaxation, 2, vectorize="never")
+            opaque = OpaqueManager(build_manager("region", context))
+            execute_cycles(system, opaque, 2, vectorize="auto")
+            snap = metrics.registry().snapshot()["metrics"]
+            assert "engine.scalar_fallback.RelaxationQualityManager" not in snap
+            assert snap["engine.batches.scalar.RelaxationQualityManager"]["value"] == 1
+            fallback = snap["engine.scalar_fallback.OpaqueManager"]
+            assert fallback == {"kind": "counter", "value": 1}
+            assert snap["engine.batches.scalar.OpaqueManager"]["value"] == 1
         finally:
             reset_enabled()
             metrics.registry().reset()
@@ -719,89 +742,60 @@ class TestKernelCompilation:
             } == {kind: split["calls"] for kind, split in scalar_model.per_kind().items()}
 
 
-@pytest.fixture
-def unavailable_backend():
-    """A registered backend whose factory reports it unavailable."""
-    from repro.core import backend as backends
-
-    backends.register_backend("unavailable", lambda: None)
-    yield "unavailable"
-    backends._FACTORIES.pop("unavailable", None)
-    backends._INSTANCES.pop("unavailable", None)
-
-
 class TestBackends:
-    def test_registry_lists_registered_and_available_backends(
-        self, unavailable_backend
-    ):
-        assert "numpy" in registered_backends()
-        assert unavailable_backend in registered_backends()
-        # numpy ships with the package, so it is always available
-        assert "numpy" in available_backends()
-        assert backend_available("numpy")
-        assert unavailable_backend not in available_backends()
-        assert not backend_available(unavailable_backend)
+    """The NumPy programs are the only kernel backend: ``get_backend`` answers
+    ``numpy`` and every request for another backend is refused."""
 
     def test_default_backend_is_numpy(self, monkeypatch):
         monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert get_backend().name == "numpy"
+        assert get_backend(None).name == "numpy"
+        assert get_backend("numpy").name == "numpy"
 
     def test_env_variable_selects_backend(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "numpy")
         assert get_backend().name == "numpy"
-        monkeypatch.setenv("REPRO_BACKEND", "bogus")
-        with pytest.raises(BackendError, match="bogus"):
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        with pytest.raises(BackendError, match=r"\$REPRO_BACKEND is 'numba'"):
             get_backend()
 
     def test_unknown_backend_raises(self):
-        with pytest.raises(BackendError, match="registered"):
+        with pytest.raises(BackendError, match="'cupy'"):
             get_backend("cupy")
 
-    def test_unavailable_backend_raises(self, unavailable_backend):
-        with pytest.raises(BackendError, match="not available"):
-            get_backend(unavailable_backend)
+    def test_unavailable_backend_raises(self):
+        # numba, the one other backend that ever shipped, is gone
+        with pytest.raises(BackendError, match="'numba'"):
+            get_backend("numba")
 
     def test_explicit_backend_request_is_not_silently_substituted(
-        self, setup, unavailable_backend
+        self, setup, monkeypatch
     ):
         system, deadlines, context = setup
         manager = build_manager("region", context)
-        with pytest.raises(BackendError, match="not available"):
-            execute_cycles(
-                system,
-                manager,
-                2,
-                rng=np.random.default_rng(0),
-                backend=unavailable_backend,
-            )
-        with pytest.raises(BackendError, match="not available"):
-            execute_cycles(
-                system,
-                manager,
-                2,
-                deadlines=deadlines,
-                chunk_size=1,
-                backend=unavailable_backend,
-            )
+        monkeypatch.setenv("REPRO_BACKEND", "numba")
+        with pytest.raises(BackendError, match="REPRO_BACKEND"):
+            execute_cycles(system, manager, 2, rng=np.random.default_rng(0))
+        with pytest.raises(BackendError, match="REPRO_BACKEND"):
+            execute_cycles(system, manager, 2, deadlines=deadlines, chunk_size=1)
         member = FleetMember(
-            label="m",
-            system=system,
-            manager=manager,
-            deadlines=deadlines,
-            cycles=2,
-            backend=unavailable_backend,
+            label="m", system=system, manager=manager, deadlines=deadlines, cycles=2
         )
-        with pytest.raises(BackendError, match="not available"):
-            FleetPlan.plan([member])
+        with pytest.raises(BackendError, match="REPRO_BACKEND"):
+            run_fleet([member])
+        monkeypatch.delenv("REPRO_BACKEND")
+        session = Session().system(system).deadlines(deadlines).manager("region")
+        with pytest.raises(TypeError, match="backend"):
+            session.run(cycles=2, backend="numpy")
+        assert not hasattr(session, "backend")
 
-    def test_explicit_numpy_backend_is_bit_identical(self, setup):
+    def test_explicit_numpy_backend_is_bit_identical(self, setup, monkeypatch):
         system, _, context = setup
         manager = build_manager("relaxation", context)
         scenarios = system.draw_scenarios(5, np.random.default_rng(6))
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
         default = execute_cycles(system, manager, scenarios=scenarios)[0]
-        explicit = execute_cycles(
-            system, manager, scenarios=scenarios, backend="numpy"
-        )[0]
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        explicit = execute_cycles(system, manager, scenarios=scenarios)[0]
         assert_outcomes_identical(default, explicit)
 
 
@@ -933,21 +927,6 @@ class TestSessionWiring:
     def test_vectorize_rejects_unknown_mode(self):
         with pytest.raises(ValueError):
             self._session().vectorize("sometimes")
-
-    def test_backend_builder_validates_eagerly(self):
-        with pytest.raises(BackendError):
-            self._session().backend("bogus")
-        with pytest.raises(BackendError):
-            self._session().manager("region").run(cycles=2, backend="bogus")
-
-    def test_backend_setting_is_bit_identical(self):
-        default = self._session().manager("relaxation").run(cycles=4)
-        explicit = (
-            self._session().manager("relaxation").backend("numpy").run(cycles=4)
-        )
-        override = self._session().manager("relaxation").run(cycles=4, backend="numpy")
-        assert_outcomes_identical(default.outcomes, explicit.outcomes)
-        assert_outcomes_identical(default.outcomes, override.outcomes)
 
     def test_parallel_pool_carries_the_engine_setting(self, tmp_path):
         from repro.api import Session

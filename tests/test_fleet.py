@@ -75,7 +75,6 @@ def solo_summary(member: FleetMember):
         rng=member.make_rng() if member.scenarios is None else None,
         overhead_model=member.overhead_model,
         vectorize=member.vectorize,
-        backend=member.backend,
     )[1]
 
 
@@ -224,53 +223,6 @@ class TestBucketing:
         member = make_member("numeric", "m", overhead_model=StatefulModel())
         plan = FleetPlan.plan([member])
         assert plan.fallback == (0,)
-
-    def test_unknown_backend_rejected_at_plan_time(self):
-        member = make_member("numeric", "m", backend="no-such-backend")
-        with pytest.raises(Exception, match="no-such-backend"):
-            FleetPlan.plan([member])
-
-    def test_non_numpy_backend_buckets_with_that_backend(self):
-        """A requested backend compiles its members' stacked program: the
-        resolved backend name is part of the bucket key, never a reason to
-        run solo."""
-        from repro.core import backend as backends
-
-        numpy_backend = backends.get_backend("numpy")
-        compiled = []
-
-        class CountingBackend:
-            name = "counting"
-
-            def compile(self, specs):
-                compiled.append(len(specs))
-                return numpy_backend.compile(specs)
-
-        backends.register_backend("counting", CountingBackend)
-        try:
-            members = [
-                make_member("region", "m", cycles=13, seed=4, backend="counting"),
-                make_member("region", "n", cycles=6, seed=5, backend="counting"),
-                make_member("region", "p", cycles=9, seed=6),
-            ]
-            plan = FleetPlan.plan(members)
-            assert plan.fallback == ()
-            by_backend = {bucket.backend: bucket.indices for bucket in plan.buckets}
-            assert by_backend == {"counting": (0, 1), "numpy": (2,)}
-            summaries = run_fleet(members, plan=plan)
-            # one stacked program for the whole two-member counting bucket
-            assert compiled == [2]
-            for member, summary in zip(members, summaries):
-                reference = solo_summary(
-                    make_member(
-                        "region", member.label, cycles=member.cycles, seed=member.seed
-                    )
-                )
-                assert summary.metrics() == reference.metrics(), member.label
-                assert summary.quality_level_counts == reference.quality_level_counts
-        finally:
-            backends._FACTORIES.pop("counting", None)
-            backends._INSTANCES.pop("counting", None)
 
 
 class TestRunFleet:

@@ -105,7 +105,6 @@ def solo_baseline(member: FleetMember):
         rng=member.make_rng(),
         overhead_model=member.overhead_model,
         vectorize=member.vectorize,
-        backend=member.backend,
     )[1]
 
 

@@ -318,6 +318,38 @@ def _payload(system, deadlines) -> ExecutionPayload:
     )
 
 
+class TestPayloadCompatibility:
+    """A payload pickled while kernels had a selectable compute backend
+    carries a stray ``backend`` attribute; workers run it only when it names
+    the NumPy programs."""
+
+    @staticmethod
+    def _execute(encoder_inputs, backend=None, stray=False):
+        import pickle
+
+        from repro.api import ManagerSpec
+        from repro.runtime.pool import _WorkerRuntime
+
+        payload = _payload(*encoder_inputs)
+        if stray:  # what unpickling the older payload layout leaves behind
+            object.__setattr__(payload, "backend", backend)
+        restored = pickle.loads(pickle.dumps(payload))
+        assert vars(restored).get("backend", "absent") == (backend if stray else "absent")
+        plan = plan_run_many(restored, [("u", ManagerSpec("relaxation"), 3, 4)])
+        return _WorkerRuntime(restored).execute(plan.units[0])
+
+    @pytest.mark.parametrize("backend", [None, "numpy"])
+    def test_numpy_or_unset_backend_runs_bit_identically(self, encoder_inputs, backend):
+        name, (outcomes, _) = self._execute(encoder_inputs)
+        stray_name, (stray_outcomes, _) = self._execute(encoder_inputs, backend, stray=True)
+        assert stray_name == name
+        assert _outcomes_equal(outcomes, stray_outcomes)
+
+    def test_other_backend_is_refused_naming_the_field(self, encoder_inputs):
+        with pytest.raises(ValueError, match="payload field 'backend' is 'numba'"):
+            self._execute(encoder_inputs, "numba", stray=True)
+
+
 class TestPlans:
     def test_run_many_offsets_and_labels(self, encoder_inputs):
         system, deadlines = encoder_inputs

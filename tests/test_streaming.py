@@ -1,7 +1,7 @@
 """Tests for chunked streaming execution (:mod:`repro.core.streaming`).
 
 The streaming contract is chunk-boundary bit-identity: for any manager,
-overhead model, backend and ``chunk_size``, a streamed run's metrics must
+overhead model and ``chunk_size``, a streamed run's metrics must
 equal the materialised path's :class:`~repro.analysis.metrics.QualityMetrics`
 field for field — including runs whose chunk edges land mid-way through a
 frame sampler's wrap-around — and pool/spool/service fan-in of streamed
@@ -36,9 +36,6 @@ ALL_KEYS = sorted(available_managers())
 N_CYCLES = 10
 CHUNK_SIZES = (1, 7, 64, N_CYCLES, N_CYCLES + 1)
 
-# None: the resolved default backend ($REPRO_BACKEND, else numpy)
-BACKENDS = [None]
-
 
 @pytest.fixture(scope="module")
 def parity_setup():
@@ -55,11 +52,12 @@ def assert_metrics_identical(expected, actual, context=""):
 
 
 class TestChunkParityGrid:
-    """Every registry key x chunk size x backend matches the materialised path."""
+    """Every registry key x chunk size matches the materialised path."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    @pytest.mark.parametrize("key", ALL_KEYS)
-    def test_streamed_metrics_bit_identical(self, parity_setup, key, backend):
+    # the "-None" suffix keeps each case's id from when the grid also ranged
+    # over a one-value compute-backend axis
+    @pytest.mark.parametrize("key", ALL_KEYS, ids=lambda key: f"{key}-None")
+    def test_streamed_metrics_bit_identical(self, parity_setup, key):
         system, deadlines, scenarios = parity_setup
         session = (
             Session()
@@ -68,8 +66,6 @@ class TestChunkParityGrid:
             .manager(key)
             .overhead(LinearOverheadModel(IPOD_LIKE))
         )
-        if backend is not None:
-            session.backend(backend)
         baseline = session.run(scenarios=scenarios, cycles=N_CYCLES)
         for chunk in CHUNK_SIZES:
             streamed = session.run(
@@ -508,6 +504,89 @@ class TestStreamingObservability:
             assert "streaming engine" in rendered
             assert "cycles streamed" in rendered
             assert "peak chunk tensor" in rendered
+        finally:
+            reset_enabled()
+            metrics.registry().reset()
+
+
+class TestSessionStream:
+    """``Session.stream`` yields the solo driver's chunks lazily."""
+
+    STREAM_CHUNK = 4
+    N_STREAMED = 10  # crosses two chunk boundaries
+
+    @staticmethod
+    def _session(key):
+        # a fresh session per run: the encoder's frame sampler is stateful
+        return Session().system(small_encoder(seed=3)).machine("ipod").seed(5).manager(key)
+
+    @pytest.mark.parametrize("key", ALL_KEYS)
+    def test_stream_equals_run_field_by_field(self, key):
+        streamed = list(
+            self._session(key).chunk_size(self.STREAM_CHUNK).stream(self.N_STREAMED)
+        )
+        collected = self._session(key).run(self.N_STREAMED, chunk_size=None).outcomes
+        assert len(streamed) == len(collected) == self.N_STREAMED
+        for cycle, (left, right) in enumerate(zip(streamed, collected)):
+            for field in (
+                "qualities",
+                "durations",
+                "completion_times",
+                "manager_invocations",
+                "manager_overheads",
+            ):
+                assert np.array_equal(getattr(left, field), getattr(right, field)), (
+                    f"{key} cycle {cycle} {field}"
+                )
+
+    @pytest.fixture()
+    def draw_sizes(self, monkeypatch):
+        """The cycle count of every ``draw_scenarios`` call, in order."""
+        from repro.core.system import ParameterizedSystem
+
+        sizes = []
+        draw = ParameterizedSystem.draw_scenarios
+
+        def counting_draw(self, count, rng=None):
+            sizes.append(count)
+            return draw(self, count, rng)
+
+        monkeypatch.setattr(ParameterizedSystem, "draw_scenarios", counting_draw)
+        return sizes
+
+    def test_first_next_draws_at_most_one_chunk(self, draw_sizes):
+        session = self._session("relaxation").chunk_size(self.STREAM_CHUNK)
+        iterator = session.stream(self.N_STREAMED)
+        assert draw_sizes == []
+        next(iterator)
+        assert draw_sizes == [self.STREAM_CHUNK]
+        assert len(list(iterator)) == self.N_STREAMED - 1
+        assert draw_sizes == [4, 4, 2]
+
+    def test_stream_without_chunk_size_uses_the_default_chunk(
+        self, draw_sizes, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_CHUNK", raising=False)
+        monkeypatch.setattr("repro.api.session.DEFAULT_FLEET_CHUNK", 2)
+        assert len(list(self._session("region").stream(5))) == 5
+        assert draw_sizes == [2, 2, 1]
+
+    def test_stream_runs_vectorised_and_counts_it(self, tmp_path, monkeypatch):
+        from repro.obs import metrics, reset_enabled
+
+        monkeypatch.setenv("REPRO_OBS", "1")
+        monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "telemetry"))
+        reset_enabled()
+        metrics.registry().reset()
+        try:
+            session = self._session("relaxation").chunk_size(self.STREAM_CHUNK)
+            assert len(list(session.stream(6))) == 6
+            snap = metrics.registry().snapshot()["metrics"]
+            batches = snap["engine.batches.vectorized.RelaxationQualityManager"]
+            assert batches == {"kind": "counter", "value": 1}
+            assert snap["engine.cycles.vectorized"] == {"kind": "counter", "value": 6}
+            assert snap["engine.chunks"] == {"kind": "counter", "value": 2}
+            assert not any(name.startswith("engine.scalar_fallback") for name in snap)
         finally:
             reset_enabled()
             metrics.registry().reset()
